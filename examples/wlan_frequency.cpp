@@ -3,22 +3,25 @@
 /// application [14]): access points within interference range must use
 /// different channels — vertex coloring of a random geometric disk graph.
 ///
-/// This example scatters access points in a unit square, connects pairs
-/// closer than the interference radius, colors the graph, and reports the
-/// channel count against the 2.4 GHz band's 3 non-overlapping channels
-/// (1/6/11), marking where the deployment is too dense.
+/// This example scatters access points in a unit square (the rgg2d
+/// generator model), connects pairs closer than the interference radius,
+/// colors the graph, and reports the channel count against the 2.4 GHz
+/// band's 3 non-overlapping channels (1/6/11), marking where the
+/// deployment is too dense.
 ///
 /// Usage: wlan_frequency [--aps=5000] [--radius=0.02] [--scheme=T-ldg]
 ///                       [--seed=11]
 
+#include <algorithm>
 #include <iostream>
+#include <thread>
 #include <vector>
 
 #include "coloring/runner.hpp"
 #include "graph/analysis.hpp"
-#include "graph/builder.hpp"
-#include "graph/generators.hpp"
+#include "graph/genspec.hpp"
 #include "support/options.hpp"
+#include "support/threadpool.hpp"
 
 int main(int argc, char** argv) {
   using namespace speckle;
@@ -29,8 +32,13 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 11));
   opts.validate({"aps", "radius", "scheme", "seed"});
 
-  const graph::CsrGraph g =
-      graph::build_csr(aps, graph::geometric(aps, radius, seed));
+  graph::GeneratorSpec spec;
+  spec.model = graph::GenModel::kGeometric2d;
+  spec.num_vertices = aps;
+  spec.radius = radius;
+  spec.seed = seed;
+  support::ThreadPool pool(std::max(1u, std::thread::hardware_concurrency()));
+  const graph::CsrGraph g = graph::generate_graph(spec, pool);
   const graph::DegreeReport deg = graph::analyze_degrees(g);
   std::cout << aps << " access points, interference radius " << radius << ": "
             << g.num_edges() / 2 << " interfering pairs, worst AP sees "

@@ -101,20 +101,12 @@ RunResult run_scheme(Scheme s, const graph::CsrGraph& g, const RunOptions& opts)
     mo.seed = opts.seed;
     mo.device = opts.device;
     multidev::MultiDevResult r = multidev::multidev_color(g, mo);
-    result.coloring = std::move(r.coloring);
-    result.model_ms = r.model_ms;
-    result.wall_ms = r.wall_ms;
-    result.iterations = r.rounds;
-    result.report = std::move(r.fleet_report);
-    result.san = std::move(r.san);
-    result.prof = std::move(r.prof);
-    result.check = std::move(r.check);
+    static_cast<GpuResult&>(result) = std::move(r);
     result.devices = std::move(r.devices);
     result.cut_edges = r.cut_edges;
     result.exchanged_colors = r.exchanged_colors;
     result.exchange_rounds = std::move(r.exchange_rounds);
     result.hidden_ms = r.hidden_ms;
-    result.num_colors = count_colors(result.coloring);
     const VerifyResult verify = verify_coloring(g, result.coloring);
     SPECKLE_CHECK(verify.proper, std::string(scheme_name(s)) +
                                      " (multi-device) produced an improper "
@@ -138,28 +130,13 @@ RunResult run_scheme(Scheme s, const graph::CsrGraph& g, const RunOptions& opts)
       Gm3Options o;
       static_cast<GpuOptions&>(o) = make_gpu_options(opts, false);
       o.cpu = opts.cpu;
-      Gm3Result r = gm3step_color(g, o);
-      result.coloring = std::move(r.coloring);
-      result.model_ms = r.model_ms;
-      result.wall_ms = r.wall_ms;
-      result.iterations = r.iterations;
-      result.report = std::move(r.report);
-      result.san = std::move(r.san);
-      result.prof = std::move(r.prof);
-      result.check = std::move(r.check);
+      static_cast<GpuResult&>(result) = gm3step_color(g, o);
       break;
     }
     case Scheme::kTopoBase:
     case Scheme::kTopoLdg: {
-      GpuResult r = topo_color(g, make_gpu_options(opts, s == Scheme::kTopoLdg));
-      result.coloring = std::move(r.coloring);
-      result.model_ms = r.model_ms;
-      result.wall_ms = r.wall_ms;
-      result.iterations = r.iterations;
-      result.report = std::move(r.report);
-      result.san = std::move(r.san);
-      result.prof = std::move(r.prof);
-      result.check = std::move(r.check);
+      static_cast<GpuResult&>(result) =
+          topo_color(g, make_gpu_options(opts, s == Scheme::kTopoLdg));
       break;
     }
     case Scheme::kDataBase:
@@ -171,15 +148,8 @@ RunResult run_scheme(Scheme s, const graph::CsrGraph& g, const RunOptions& opts)
       static_cast<GpuOptions&>(o) = make_gpu_options(opts, s == Scheme::kDataLdg);
       o.scan_push = s != Scheme::kDataAtomic;
       o.ldf_tiebreak = s == Scheme::kDataLdf;
-      GpuResult r = s == Scheme::kDataWarp ? data_warp_color(g, o) : data_color(g, o);
-      result.coloring = std::move(r.coloring);
-      result.model_ms = r.model_ms;
-      result.wall_ms = r.wall_ms;
-      result.iterations = r.iterations;
-      result.report = std::move(r.report);
-      result.san = std::move(r.san);
-      result.prof = std::move(r.prof);
-      result.check = std::move(r.check);
+      static_cast<GpuResult&>(result) =
+          s == Scheme::kDataWarp ? data_warp_color(g, o) : data_color(g, o);
       break;
     }
     case Scheme::kCsrColor:
@@ -191,15 +161,7 @@ RunResult run_scheme(Scheme s, const graph::CsrGraph& g, const RunOptions& opts)
         o.num_hashes = 1;
         o.use_min_sets = false;
       }
-      GpuResult r = csrcolor(g, o);
-      result.coloring = std::move(r.coloring);
-      result.model_ms = r.model_ms;
-      result.wall_ms = r.wall_ms;
-      result.iterations = r.iterations;
-      result.report = std::move(r.report);
-      result.san = std::move(r.san);
-      result.prof = std::move(r.prof);
-      result.check = std::move(r.check);
+      static_cast<GpuResult&>(result) = csrcolor(g, o);
       break;
     }
     case Scheme::kJonesPlassmann: {

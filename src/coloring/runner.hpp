@@ -65,26 +65,17 @@ struct RunOptions {
   }
 };
 
-struct RunResult {
+/// One scheme's result. The GpuResult base carries what every scheme
+/// reports: for CPU schemes `report`, `san`, `prof` and `check` stay empty
+/// and `model_ms` is the CPU model's time (0 for the host-measured JP-cpu
+/// and GM-omp), `wall_ms` the host wall clock.
+struct RunResult : GpuResult {
   Scheme scheme;
-  Coloring coloring;
-  color_t num_colors = 0;
-  std::uint32_t iterations = 0;
-  double model_ms = 0.0;  ///< simulated (GPU) or modeled (CPU) time
-  double wall_ms = 0.0;   ///< host wall clock (real time of the CPU schemes)
-  simt::DeviceReport report;  ///< empty for CPU schemes
-  san::Report san;      ///< sanitizer findings (empty for CPU schemes
-                              ///< or when RunOptions::device.sanitize is off)
-  prof::Report prof;    ///< profiler counters/timeline (empty for CPU
-                              ///< schemes or when device.profile is off)
-  check::Report check;  ///< launch-plan checker output (empty for CPU
-                              ///< schemes or when device.check is off); on
-                              ///< multi-device runs the fleet-merged view
 
   // --- multi-device runs only (RunOptions::num_devices > 1) ---------------
   /// Per-device breakdowns, in device order. Empty on single-device runs;
-  /// `report`/`san`/`prof` above then hold the fleet-level merged views
-  /// (kernel names carry the "d<k>." device prefix).
+  /// the base fields then hold the fleet-level merged views (kernel names
+  /// carry the "d<k>." device prefix).
   std::vector<multidev::DeviceBreakdown> devices;
   std::uint64_t cut_edges = 0;         ///< directed cut of the partition
   std::uint64_t exchanged_colors = 0;  ///< ghost updates shipped over D2D

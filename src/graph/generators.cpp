@@ -1,6 +1,5 @@
 #include "graph/generators.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
 
@@ -67,20 +66,6 @@ EdgeList rmat(std::uint32_t scale, std::uint64_t num_edges, const RmatParams& pa
   edges.reserve(num_edges);
   for (std::uint64_t i = 0; i < num_edges; ++i) {
     edges.push_back(rmat_edge(rng, scale, params));
-  }
-  return edges;
-}
-
-EdgeList kronecker(std::uint32_t scale, std::uint64_t num_edges,
-                   const RmatParams& params, std::uint64_t seed) {
-  RmatParams initiator = params;
-  initiator.noise = 0.0;
-  check_rmat_args(scale, initiator);
-  Xoshiro256 rng(seed);
-  EdgeList edges;
-  edges.reserve(num_edges);
-  for (std::uint64_t i = 0; i < num_edges; ++i) {
-    edges.push_back(rmat_edge(rng, scale, initiator));
   }
   return edges;
 }
@@ -169,47 +154,6 @@ EdgeList local_random(vid_t num_vertices, vid_t deg_lo, vid_t deg_hi, vid_t wind
   return edges;
 }
 
-EdgeList geometric(vid_t num_vertices, double radius, std::uint64_t seed) {
-  SPECKLE_CHECK(radius > 0.0 && radius < 1.0, "geometric radius must be in (0,1)");
-  Xoshiro256 rng(seed);
-  std::vector<double> xs(num_vertices), ys(num_vertices);
-  for (vid_t v = 0; v < num_vertices; ++v) {
-    xs[v] = rng.next_double();
-    ys[v] = rng.next_double();
-  }
-  // Bucket points into a grid of radius-sized cells; only neighboring cells
-  // can contain points within `radius`, making this O(n) for sparse graphs.
-  const auto cells = static_cast<vid_t>(std::ceil(1.0 / radius));
-  std::vector<std::vector<vid_t>> grid(static_cast<std::size_t>(cells) * cells);
-  auto cell_of = [&](vid_t v) {
-    auto cx = std::min<vid_t>(static_cast<vid_t>(xs[v] / radius), cells - 1);
-    auto cy = std::min<vid_t>(static_cast<vid_t>(ys[v] / radius), cells - 1);
-    return cy * cells + cx;
-  };
-  for (vid_t v = 0; v < num_vertices; ++v) grid[cell_of(v)].push_back(v);
-
-  EdgeList edges;
-  const double r2 = radius * radius;
-  for (vid_t v = 0; v < num_vertices; ++v) {
-    const vid_t cx = std::min<vid_t>(static_cast<vid_t>(xs[v] / radius), cells - 1);
-    const vid_t cy = std::min<vid_t>(static_cast<vid_t>(ys[v] / radius), cells - 1);
-    for (int dy = -1; dy <= 1; ++dy) {
-      for (int dx = -1; dx <= 1; ++dx) {
-        const std::int64_t nx = static_cast<std::int64_t>(cx) + dx;
-        const std::int64_t ny = static_cast<std::int64_t>(cy) + dy;
-        if (nx < 0 || ny < 0 || nx >= cells || ny >= cells) continue;
-        for (vid_t w : grid[static_cast<std::size_t>(ny) * cells + nx]) {
-          if (w <= v) continue;  // emit each pair once
-          const double ddx = xs[v] - xs[w];
-          const double ddy = ys[v] - ys[w];
-          if (ddx * ddx + ddy * ddy <= r2) edges.push_back({v, w});
-        }
-      }
-    }
-  }
-  return edges;
-}
-
 EdgeList ring_lattice(vid_t num_vertices, vid_t k) {
   SPECKLE_CHECK(num_vertices > 2 * k, "ring_lattice needs n > 2k");
   EdgeList edges;
@@ -217,53 +161,6 @@ EdgeList ring_lattice(vid_t num_vertices, vid_t k) {
   for (vid_t v = 0; v < num_vertices; ++v) {
     for (vid_t j = 1; j <= k; ++j) {
       edges.push_back({v, static_cast<vid_t>((v + j) % num_vertices)});
-    }
-  }
-  return edges;
-}
-
-EdgeList watts_strogatz(vid_t num_vertices, vid_t k, double beta, std::uint64_t seed) {
-  SPECKLE_CHECK(beta >= 0.0 && beta <= 1.0, "watts_strogatz beta must be in [0,1]");
-  EdgeList edges = ring_lattice(num_vertices, k);
-  Xoshiro256 rng(seed);
-  for (Edge& e : edges) {
-    if (!rng.next_bool(beta)) continue;
-    vid_t target = static_cast<vid_t>(rng.next_below(num_vertices));
-    while (target == e.src) target = static_cast<vid_t>(rng.next_below(num_vertices));
-    e.dst = target;
-  }
-  return edges;
-}
-
-EdgeList barabasi_albert(vid_t num_vertices, vid_t m, std::uint64_t seed) {
-  SPECKLE_CHECK(m >= 1 && num_vertices > m, "barabasi_albert needs n > m >= 1");
-  Xoshiro256 rng(seed);
-  EdgeList edges;
-  edges.reserve(static_cast<std::size_t>(num_vertices) * m);
-  // `targets` holds one entry per edge endpoint, so sampling uniformly from
-  // it is sampling proportional to degree (the standard BA trick).
-  std::vector<vid_t> targets;
-  targets.reserve(2 * static_cast<std::size_t>(num_vertices) * m);
-  // Seed clique over the first m+1 vertices.
-  for (vid_t v = 0; v <= m; ++v) {
-    for (vid_t w = v + 1; w <= m; ++w) {
-      edges.push_back({v, w});
-      targets.push_back(v);
-      targets.push_back(w);
-    }
-  }
-  for (vid_t v = m + 1; v < num_vertices; ++v) {
-    std::vector<vid_t> chosen;
-    while (chosen.size() < m) {
-      const vid_t candidate = targets[rng.next_below(targets.size())];
-      if (std::find(chosen.begin(), chosen.end(), candidate) == chosen.end()) {
-        chosen.push_back(candidate);
-      }
-    }
-    for (vid_t w : chosen) {
-      edges.push_back({v, w});
-      targets.push_back(v);
-      targets.push_back(w);
     }
   }
   return edges;

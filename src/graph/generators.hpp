@@ -42,13 +42,6 @@ Edge rmat_edge(support::Xoshiro256& rng, std::uint32_t scale,
 EdgeList rmat(std::uint32_t scale, std::uint64_t num_edges, const RmatParams& params,
               std::uint64_t seed);
 
-/// Stochastic Kronecker graph (Leskovec et al.): recursive descent with a
-/// fixed 2x2 initiator (a,b;c,d) — R-MAT with the per-level noise pinned
-/// to zero, which keeps the self-similar community structure KaGen's SKG
-/// generator produces. `params.noise` is ignored.
-EdgeList kronecker(std::uint32_t scale, std::uint64_t num_edges,
-                   const RmatParams& params, std::uint64_t seed);
-
 /// Erdős–Rényi G(n, m): m distinct endpoint pairs drawn uniformly.
 EdgeList erdos_renyi(vid_t num_vertices, std::uint64_t num_edges, std::uint64_t seed);
 
@@ -71,22 +64,9 @@ void add_local_defects(EdgeList& edges, vid_t num_vertices, double extra_per_ver
 EdgeList local_random(vid_t num_vertices, vid_t deg_lo, vid_t deg_hi, vid_t window,
                       std::uint64_t seed);
 
-/// Random geometric disk graph: n points uniform in the unit square,
-/// vertices within `radius` connected. Used by the WLAN example.
-EdgeList geometric(vid_t num_vertices, double radius, std::uint64_t seed);
-
 /// Ring of n vertices with each vertex also linked to its k nearest
-/// neighbors on each side (Watts–Strogatz substrate; handy in tests).
+/// neighbors on each side (a regular test fixture).
 EdgeList ring_lattice(vid_t num_vertices, vid_t k);
-
-/// Watts–Strogatz small world: ring_lattice(n, k) with each edge's far
-/// endpoint rewired to a uniform vertex with probability `beta`.
-EdgeList watts_strogatz(vid_t num_vertices, vid_t k, double beta, std::uint64_t seed);
-
-/// Barabási–Albert preferential attachment: each new vertex attaches to
-/// `m` existing vertices with probability proportional to degree. Produces
-/// the power-law hubs that stress load balancing (cf. rmat-g).
-EdgeList barabasi_albert(vid_t num_vertices, vid_t m, std::uint64_t seed);
 
 /// Complete graph on n vertices (tests: chromatic number = n).
 EdgeList complete(vid_t num_vertices);

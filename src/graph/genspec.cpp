@@ -724,15 +724,6 @@ EdgeList generate_edges_serial(const GeneratorSpec& raw) {
     case GenModel::kRmat:
       return rmat(log2_exact(spec.num_vertices, "rmat"), spec.num_edges,
                   spec.quadrants, spec.seed);
-    case GenModel::kKronecker:
-      return kronecker(log2_exact(spec.num_vertices, "kron"), spec.num_edges,
-                       spec.quadrants, spec.seed);
-    case GenModel::kBarabasiAlbert:
-      return barabasi_albert(static_cast<vid_t>(spec.num_vertices),
-                             spec.attach, spec.seed);
-    case GenModel::kGeometric2d:
-      return geometric(static_cast<vid_t>(spec.num_vertices), spec.radius,
-                       spec.seed);
     case GenModel::kGrid2d: {
       EdgeList edges = stencil2d(spec.nx, spec.ny);
       if (spec.defects > 0.0) {
@@ -752,11 +743,18 @@ EdgeList generate_edges_serial(const GeneratorSpec& raw) {
     case GenModel::kLocalRandom:
       return local_random(static_cast<vid_t>(spec.num_vertices), spec.deg_lo,
                           spec.deg_hi, spec.window, spec.seed);
+    case GenModel::kKronecker:
+    case GenModel::kBarabasiAlbert:
+    case GenModel::kGeometric2d:
     case GenModel::kErdosRenyi:
-      return erdos_renyi(static_cast<vid_t>(spec.num_vertices),
-                         spec.num_edges, spec.seed);
+      break;
   }
-  SPECKLE_UNREACHABLE("bad GenModel");
+  SPECKLE_CHECK(false, std::string("generate_edges_serial covers only the "
+                                   "suite's models (rmat, grid2d, grid3d, "
+                                   "localrand); '") +
+                           gen_model_name(spec.model) +
+                           "' generates through generate_graph");
+  return {};
 }
 
 }  // namespace speckle::graph

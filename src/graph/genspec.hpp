@@ -12,11 +12,12 @@
 /// Two generation paths share the spec:
 ///
 ///  * generate_edges_serial(spec) — the legacy single-stream generators
-///    (generators.hpp). This is the byte-stability path: the Table I suite
-///    graphs have been generated through these exact RNG streams since
-///    PR 1, and every checked-in golden depends on their bytes.
+///    (generators.hpp), for the suite's four models only (rmat, grid2d,
+///    grid3d, localrand). This is the byte-stability path: the Table I
+///    suite graphs have always been generated through these exact RNG
+///    streams, and every checked-in golden depends on their bytes.
 ///
-///  * generate_graph(spec, pool) — the scale path: KaGen-style sharded
+///  * generate_graph(spec, pool) — every model: KaGen-style sharded
 ///    generation (a fixed, thread-count-independent chunk decomposition;
 ///    one hash-derived RNG per chunk) into the streaming parallel CSR
 ///    builder (build_parallel.hpp). Deterministic for a fixed seed at ANY
@@ -130,7 +131,8 @@ CsrGraph generate_graph_cached(const GeneratorSpec& spec,
 /// The legacy path: one sequential RNG stream through the classic
 /// generators, exactly as the Table I suite has always drawn them. The
 /// suite's byte-stability (and every checked-in golden) depends on this
-/// mapping never changing.
+/// mapping never changing. Covers rmat, grid2d, grid3d and localrand;
+/// aborts loudly on any other model (those generate via generate_graph).
 EdgeList generate_edges_serial(const GeneratorSpec& spec);
 
 }  // namespace speckle::graph

@@ -62,7 +62,9 @@ GeneratorSpec suite_generator_spec(const std::string& name,
 /// Build one suite graph. `denom` must be a power of two >= 1.
 /// Deterministic for a given (name, denom, seed) — and byte-stable across
 /// releases: the suite draws through generate_edges_serial, the legacy
-/// single-stream path every checked-in golden depends on.
+/// single-stream path every checked-in golden depends on. The suite's four
+/// models (rmat, grid2d, grid3d, localrand) are exactly the ones that
+/// path still covers.
 CsrGraph make_suite_graph(const std::string& name, std::uint32_t denom,
                           std::uint64_t seed = 0x5eed);
 

@@ -28,6 +28,7 @@ constexpr std::uint64_t kExchangeRecordBytes = sizeof(vid_t) + sizeof(color_t);
 
 /// One simulated GPU plus its shard-local working set.
 struct Node {
+  std::string prefix;  ///< "d<k>.": names this device's buffers and kernels
   std::unique_ptr<simt::Device> dev;
   coloring::DeviceGraph dg;                 ///< shard-local CSR (ghost rows empty)
   simt::Buffer<std::uint32_t> colors;       ///< num_local: owned then ghost slots
@@ -74,38 +75,12 @@ color_t lane0_wide_first_fit(simt::Thread& t, const coloring::DeviceGraph& dg,
   }
 }
 
-/// Conflict test with a GLOBAL-id tie-break: true when some neighbor w has
-/// colors[w] == colors[v] and global(v) < global(w). The local-id test of
-/// gpu_common's device_conflict is wrong across shards — two devices would
-/// each see their own local id as the smaller one and both (or neither)
-/// would recolor — so the kernel pays the extra l2g load on each
-/// same-colored neighbor to agree with the remote owner.
-bool device_conflict_global(simt::Thread& t, const coloring::DeviceGraph& dg,
-                            simt::Buffer<std::uint32_t>& colors,
-                            const simt::Buffer<vid_t>& l2g, vid_t v,
-                            vid_t global_v, bool use_ldg) {
-  const eid_t begin = use_ldg ? t.ldg(dg.row, v) : t.ld(dg.row, v);
-  const eid_t end = use_ldg ? t.ldg(dg.row, v + 1) : t.ld(dg.row, v + 1);
-  const color_t cv = t.ld(colors, v);
-  t.compute(2);
-  for (eid_t e = begin; e < end; ++e) {
-    const vid_t w = use_ldg ? t.ldg(dg.col, e) : t.ld(dg.col, e);
-    const color_t cw = t.ld(colors, w);
-    t.compute(3);
-    if (cv != cw) continue;
-    const vid_t global_w = use_ldg ? t.ldg(l2g, w) : t.ld(l2g, w);
-    t.compute(1);
-    if (global_v < global_w) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 MultiDevResult multidev_color(const graph::CsrGraph& g, const MultiDevOptions& opts) {
   support::Timer wall;
   SPECKLE_CHECK(opts.num_devices >= 1, "multidev_color needs at least one device");
-  SPECKLE_CHECK(opts.num_devices == 1 || opts.block_size % 32 == 0,
+  SPECKLE_CHECK(opts.block_size % 32 == 0,
                 "multi-device warp-centric kernels need a warp-multiple block");
   const std::uint32_t parts = opts.num_devices;
 
@@ -119,7 +94,8 @@ MultiDevResult multidev_color(const graph::CsrGraph& g, const MultiDevOptions& o
   for (std::uint32_t k = 0; k < parts; ++k) {
     const graph::Shard& shard = part.shards[k];
     Node& node = nodes[k];
-    const std::string prefix = "d" + std::to_string(k) + ".";
+    node.prefix = "d" + std::to_string(k) + ".";
+    const std::string& prefix = node.prefix;
     node.dev = std::make_unique<simt::Device>(opts.device);
     simt::Device& dev = *node.dev;
 
@@ -156,13 +132,11 @@ MultiDevResult multidev_color(const graph::CsrGraph& g, const MultiDevOptions& o
     node.w_in = node.list_a.get();
     node.w_out = node.list_b.get();
     node.w_in->fill_iota(shard.num_owned());  // W_in <- owned(V_k)
-    if (parts > 1) {
-      const std::size_t pend_cap = std::max<std::size_t>(shard.num_boundary, 1);
-      node.pend_a = std::make_unique<simt::Worklist>(dev, pend_cap, prefix + "pend_a");
-      node.pend_b = std::make_unique<simt::Worklist>(dev, pend_cap, prefix + "pend_b");
-      node.pend_in = node.pend_a.get();
-      node.pend_out = node.pend_b.get();
-    }
+    const std::size_t pend_cap = std::max<std::size_t>(shard.num_boundary, 1);
+    node.pend_a = std::make_unique<simt::Worklist>(dev, pend_cap, prefix + "pend_a");
+    node.pend_b = std::make_unique<simt::Worklist>(dev, pend_cap, prefix + "pend_b");
+    node.pend_in = node.pend_a.get();
+    node.pend_out = node.pend_b.get();
   }
 
   // Exchange plan: for each owned vertex, where do its ghost copies live?
@@ -208,11 +182,8 @@ MultiDevResult multidev_color(const graph::CsrGraph& g, const MultiDevOptions& o
   std::vector<std::uint64_t> compute_ready(parts, 0);
 
   // --- lockstep SGR rounds --------------------------------------------------
-  auto any_live = [&nodes] {
-    return std::any_of(nodes.begin(), nodes.end(), [](const Node& n) {
-      return !n.w_in->empty() ||
-             (n.pend_in != nullptr && !n.pend_in->empty());
-    });
+  auto live = [](const Node& n) {
+    return !n.w_in->empty() || !n.pend_in->empty();
   };
   // Write `color` into every ghost copy of device k's owned vertex v and
   // queue the record on the peer links. The payload is a DELTA: a ghost
@@ -286,12 +257,12 @@ MultiDevResult multidev_color(const graph::CsrGraph& g, const MultiDevOptions& o
     std::fill(link_bytes.begin(), link_bytes.end(), 0);
   };
 
-  while (any_live()) {
-    SPECKLE_CHECK(result.rounds < opts.max_rounds,
+  while (std::any_of(nodes.begin(), nodes.end(), live)) {
+    SPECKLE_CHECK(result.iterations < opts.max_rounds,
                   "multidev_color exceeded max_rounds");
-    ++result.rounds;
+    ++result.iterations;
     prof::ExchangeRound round_stats;
-    round_stats.round = result.rounds;
+    round_stats.round = result.iterations;
 
     // Wait for the PREVIOUS round's inbound exchange where its data is
     // first consumed: this round's cross-cut conflict scan and boundary
@@ -319,14 +290,14 @@ MultiDevResult multidev_color(const graph::CsrGraph& g, const MultiDevOptions& o
     // again, so the planned copy windows retire (the checker's view of the
     // sync_to above; a no-op when DeviceConfig::check is off).
     for (Node& node : nodes) node.dev->plan_copy_fence();
-    if (opts.verify_ghosts && parts > 1) {
+    if (opts.verify_ghosts) {
       // Every ghost slot a device may still read must now mirror its
       // owner's color (exchange soundness — the invariant the cross-cut
       // conflict scan and the deferral test rely on). Devices with no
       // remaining work are exempt: their kernels never run again, so
       // their ghost slots stop receiving updates by design.
       for (std::uint32_t p = 0; p < parts; ++p) {
-        if (nodes[p].w_in->empty() && nodes[p].pend_in->empty()) continue;
+        if (!live(nodes[p])) continue;
         const graph::Shard& shard = part.shards[p];
         for (vid_t gi = 0; gi < shard.num_ghosts(); ++gi) {
           const vid_t global_v = shard.ghosts[gi];
@@ -339,7 +310,7 @@ MultiDevResult multidev_color(const graph::CsrGraph& g, const MultiDevOptions& o
       ++result.ghost_rounds_verified;
     }
 
-    // With P > 1 the fleet loses the single device's implicit sweep order
+    // A sharded fleet loses the single device's implicit sweep order
     // (serial racy blocks color in ascending id, which on the R-MAT graphs
     // doubles as a largest-degree-first order — their low ids are the
     // hubs). Recover the bias explicitly: order every worklist by
@@ -347,37 +318,31 @@ MultiDevResult multidev_color(const graph::CsrGraph& g, const MultiDevOptions& o
     // before leaves, then pull the BOUNDARY vertices to the front (stable,
     // so the degree order survives within each class): the boundary slice
     // launches first and its exchange rides out while the interior slice
-    // colors. Host-side and deterministic; skipped at P=1 to stay
-    // bit-identical with data_color's id-order sweep.
+    // colors. Host-side and deterministic.
     std::vector<std::uint32_t> num_boundary(parts, 0);
-    if (parts > 1) {
-      for (std::uint32_t k = 0; k < parts; ++k) {
-        const graph::Shard& shard = part.shards[k];
-        const graph::CsrGraph& local = shard.local;
-        std::span<std::uint32_t> items =
-            nodes[k].w_in->items().host().subspan(0, nodes[k].w_in->size());
-        std::sort(items.begin(), items.end(),
-                  [&local](std::uint32_t a, std::uint32_t b) {
-                    const vid_t da = local.degree(a);
-                    const vid_t db = local.degree(b);
-                    return da != db ? da > db : a < b;
-                  });
-        const auto mid = std::stable_partition(
-            items.begin(), items.end(),
-            [&shard](std::uint32_t v) { return shard.is_boundary(v); });
-        num_boundary[k] = static_cast<std::uint32_t>(mid - items.begin());
-      }
-    }
     for (std::uint32_t k = 0; k < parts; ++k) {
-      if (!nodes[k].w_in->empty() ||
-          (nodes[k].pend_in != nullptr && !nodes[k].pend_in->empty())) {
-        ++nodes[k].rounds;
-      }
+      const graph::Shard& shard = part.shards[k];
+      const graph::CsrGraph& local = shard.local;
+      std::span<std::uint32_t> items =
+          nodes[k].w_in->items().host().subspan(0, nodes[k].w_in->size());
+      std::sort(items.begin(), items.end(),
+                [&local](std::uint32_t a, std::uint32_t b) {
+                  const vid_t da = local.degree(a);
+                  const vid_t db = local.degree(b);
+                  return da != db ? da > db : a < b;
+                });
+      const auto mid = std::stable_partition(
+          items.begin(), items.end(),
+          [&shard](std::uint32_t v) { return shard.is_boundary(v); });
+      num_boundary[k] = static_cast<std::uint32_t>(mid - items.begin());
+    }
+    for (Node& node : nodes) {
+      if (live(node)) ++node.rounds;
     }
 
     // Phase 1 — boundary speculation (Algorithm 5 lines 4-10 against the
     // local view: owned colors + ghost copies), one racy launch over the
-    // boundary slice. The P>1 kernels are WARP-centric (one worklist item
+    // boundary slice. The kernels are WARP-centric (one worklist item
     // per warp, the adjacency strided across the 32 lanes, data_warp_color
     // style): the worklists are degree-sorted and hub-heavy, and a
     // thread-centric scan would serialize a hub's whole row into one
@@ -400,9 +365,7 @@ MultiDevResult multidev_color(const graph::CsrGraph& g, const MultiDevOptions& o
     // same-round speculators become impossible on ghost edges where both
     // sides are visibly uncolored; only stale-color edges remain. The
     // deferral check rides the first-fit lane scan, so each neighbor is
-    // loaded once. At P=1 the boundary set is empty and the thread-centric
-    // launch below covers the whole worklist, bit-identical with the
-    // single-device scheme.
+    // loaded once.
     const auto launch_slice = [&](std::uint32_t k, std::uint32_t begin,
                                   std::uint32_t end, bool defer,
                                   const char* name) {
@@ -516,9 +479,9 @@ MultiDevResult multidev_color(const graph::CsrGraph& g, const MultiDevOptions& o
         spec.reads(node.colors);
       }
       spec.racy(node.colors, 0, num_owned);
-      node.dev->launch_phased(cfg, "d" + std::to_string(k) + name, spec, phases);
+      node.dev->launch_phased(cfg, node.prefix + name, spec, phases);
     };
-    // Phase 0 (P>1) — reset the out-lists (one fused 8-byte tail memset)
+    // Phase 0 — reset the out-lists (one fused 8-byte tail memset)
     // and resolve the PREVIOUS round's cross-cut conflicts: the boundary
     // winners parked on pend_in are re-checked against the ghost colors
     // that just landed, with the same global-id tie-break as the local
@@ -527,109 +490,106 @@ MultiDevResult multidev_color(const graph::CsrGraph& g, const MultiDevOptions& o
     // lower-global-id side of a conflict re-enters. Losers push straight
     // into w_out and recolor next round; their (consistent) stale colors
     // stand until then, exactly like local losers'.
-    if (parts > 1) {
-      for (std::uint32_t k = 0; k < parts; ++k) {
-        Node& node = nodes[k];
-        if (node.w_in->empty() && node.pend_in->empty()) {
-          // Freshly-drained device: the final swap left last round's tail
-          // on what is now w_out. Reset it host-side (uncharged — no
-          // kernel of this device ever runs again) so ship()'s dead-peer
-          // test sees the truth.
-          node.w_out->clear();
-          continue;
-        }
+    for (std::uint32_t k = 0; k < parts; ++k) {
+      Node& node = nodes[k];
+      if (!live(node)) {
+        // Freshly-drained device: the final swap left last round's tail
+        // on what is now w_out. Reset it host-side (uncharged — no
+        // kernel of this device ever runs again) so ship()'s dead-peer
+        // test sees the truth.
         node.w_out->clear();
-        node.pend_out->clear();
-        node.dev->copy_to_device(2 * sizeof(std::uint32_t));
+        continue;
       }
-      for (std::uint32_t k = 0; k < parts; ++k) {
-        Node& node = nodes[k];
-        const std::uint32_t count = node.pend_in->size();
-        if (count == 0) continue;
-        const vid_t num_owned = part.shards[k].num_owned();
-        const std::uint32_t warps_per_block = opts.block_size / 32;
-        const simt::LaunchConfig cfg{
-            (count + warps_per_block - 1) / warps_per_block, opts.block_size,
-            /*regs_per_thread=*/37,
-            /*smem_bytes_per_block=*/opts.block_size * 4};
-        const std::vector<simt::Kernel> phases = {
-            // Phase A: lanes stride the adjacency, checking GHOST
-            // neighbors only — the local half was scanned last round.
-            [&, count, num_owned, warps_per_block](simt::Thread& t) {
-              const std::uint32_t widx =
-                  t.block() * warps_per_block + t.warp_in_block();
-              const std::uint32_t slot = t.thread_in_block();
-              if (widx >= count) {
-                t.shared_st(slot, 0);
-                return;
-              }
-              const vid_t v = t.ld(node.pend_in->items(), widx);
-              const color_t cv = t.ld(node.colors, v);
-              const eid_t row_begin =
-                  opts.use_ldg ? t.ldg(node.dg.row, v) : t.ld(node.dg.row, v);
-              const eid_t row_end = opts.use_ldg ? t.ldg(node.dg.row, v + 1)
-                                                 : t.ld(node.dg.row, v + 1);
-              const vid_t global_v =
-                  opts.use_ldg ? t.ldg(node.l2g, v) : t.ld(node.l2g, v);
-              t.compute(3);
-              std::uint32_t conflict = 0;
-              for (eid_t e = row_begin + t.lane(); e < row_end; e += 32) {
-                const vid_t w =
-                    opts.use_ldg ? t.ldg(node.dg.col, e) : t.ld(node.dg.col, e);
-                t.compute(2);
-                if (w < num_owned) continue;  // ghost neighbors only
-                const color_t cw = t.ld(node.colors, w);
-                t.compute(1);
-                if (cw != cv) continue;
-                const vid_t global_w =
-                    opts.use_ldg ? t.ldg(node.l2g, w) : t.ld(node.l2g, w);
-                t.compute(1);
-                if (global_v < global_w) conflict = 1;
-              }
-              t.shared_st(slot, conflict);
-            },
-            // Phase B: lane 0 folds the votes and pushes the loser.
-            [&, count, warps_per_block](simt::Thread& t) {
-              if (t.lane() != 0) return;
-              const std::uint32_t widx =
-                  t.block() * warps_per_block + t.warp_in_block();
-              if (widx >= count) return;
-              std::uint32_t reenter = 0;
-              const std::uint32_t warp_base = t.warp_in_block() * 32;
-              for (std::uint32_t l = 0; l < 32; ++l) {
-                reenter |= t.shared_ld(warp_base + l);
-              }
-              t.compute(32);
-              if (reenter == 0) return;
-              const vid_t v = t.ld(node.pend_in->items(), widx);
-              if (opts.scan_push) {
-                t.scan_push(*node.w_out, v);
-              } else {
-                const std::uint32_t slot =
-                    t.atomic_add(node.w_out->tail(), 0, 1U);
-                t.st(node.w_out->items(), slot, v);
-              }
-            },
-        };
-        // Reads ghost slots, legally: the cross-cut scan runs after the
-        // consume-point fence, so no copy window is open over colors here.
-        check::KernelSpec spec = coloring::graph_spec(node.dg, opts.use_ldg);
-        spec.reads(node.pend_in->items(), 0, count);
-        spec.reads(node.colors);
-        if (opts.use_ldg) {
-          spec.ldg(node.l2g);
-        } else {
-          spec.reads(node.l2g);
-        }
-        spec.pushes(*node.w_out, count);
-        node.dev->launch_phased(cfg, "d" + std::to_string(k) + ".md_xdetect",
-                                spec, phases);
+      node.w_out->clear();
+      node.pend_out->clear();
+      node.dev->copy_to_device(2 * sizeof(std::uint32_t));
+    }
+    for (std::uint32_t k = 0; k < parts; ++k) {
+      Node& node = nodes[k];
+      const std::uint32_t count = node.pend_in->size();
+      if (count == 0) continue;
+      const vid_t num_owned = part.shards[k].num_owned();
+      const std::uint32_t warps_per_block = opts.block_size / 32;
+      const simt::LaunchConfig cfg{
+          (count + warps_per_block - 1) / warps_per_block, opts.block_size,
+          /*regs_per_thread=*/37,
+          /*smem_bytes_per_block=*/opts.block_size * 4};
+      const std::vector<simt::Kernel> phases = {
+          // Phase A: lanes stride the adjacency, checking GHOST
+          // neighbors only — the local half was scanned last round.
+          [&, count, num_owned, warps_per_block](simt::Thread& t) {
+            const std::uint32_t widx =
+                t.block() * warps_per_block + t.warp_in_block();
+            const std::uint32_t slot = t.thread_in_block();
+            if (widx >= count) {
+              t.shared_st(slot, 0);
+              return;
+            }
+            const vid_t v = t.ld(node.pend_in->items(), widx);
+            const color_t cv = t.ld(node.colors, v);
+            const eid_t row_begin =
+                opts.use_ldg ? t.ldg(node.dg.row, v) : t.ld(node.dg.row, v);
+            const eid_t row_end = opts.use_ldg ? t.ldg(node.dg.row, v + 1)
+                                               : t.ld(node.dg.row, v + 1);
+            const vid_t global_v =
+                opts.use_ldg ? t.ldg(node.l2g, v) : t.ld(node.l2g, v);
+            t.compute(3);
+            std::uint32_t conflict = 0;
+            for (eid_t e = row_begin + t.lane(); e < row_end; e += 32) {
+              const vid_t w =
+                  opts.use_ldg ? t.ldg(node.dg.col, e) : t.ld(node.dg.col, e);
+              t.compute(2);
+              if (w < num_owned) continue;  // ghost neighbors only
+              const color_t cw = t.ld(node.colors, w);
+              t.compute(1);
+              if (cw != cv) continue;
+              const vid_t global_w =
+                  opts.use_ldg ? t.ldg(node.l2g, w) : t.ld(node.l2g, w);
+              t.compute(1);
+              if (global_v < global_w) conflict = 1;
+            }
+            t.shared_st(slot, conflict);
+          },
+          // Phase B: lane 0 folds the votes and pushes the loser.
+          [&, count, warps_per_block](simt::Thread& t) {
+            if (t.lane() != 0) return;
+            const std::uint32_t widx =
+                t.block() * warps_per_block + t.warp_in_block();
+            if (widx >= count) return;
+            std::uint32_t reenter = 0;
+            const std::uint32_t warp_base = t.warp_in_block() * 32;
+            for (std::uint32_t l = 0; l < 32; ++l) {
+              reenter |= t.shared_ld(warp_base + l);
+            }
+            t.compute(32);
+            if (reenter == 0) return;
+            const vid_t v = t.ld(node.pend_in->items(), widx);
+            if (opts.scan_push) {
+              t.scan_push(*node.w_out, v);
+            } else {
+              const std::uint32_t slot =
+                  t.atomic_add(node.w_out->tail(), 0, 1U);
+              t.st(node.w_out->items(), slot, v);
+            }
+          },
+      };
+      // Reads ghost slots, legally: the cross-cut scan runs after the
+      // consume-point fence, so no copy window is open over colors here.
+      check::KernelSpec spec = coloring::graph_spec(node.dg, opts.use_ldg);
+      spec.reads(node.pend_in->items(), 0, count);
+      spec.reads(node.colors);
+      if (opts.use_ldg) {
+        spec.ldg(node.l2g);
+      } else {
+        spec.reads(node.l2g);
       }
+      spec.pushes(*node.w_out, count);
+      node.dev->launch_phased(cfg, node.prefix + "md_xdetect", spec, phases);
     }
 
-    const bool defer_this_round = result.rounds <= opts.defer_rounds;
+    const bool defer_this_round = result.iterations <= opts.defer_rounds;
     for (std::uint32_t k = 0; k < parts; ++k) {
-      launch_slice(k, 0, num_boundary[k], defer_this_round, ".md_color_bnd");
+      launch_slice(k, 0, num_boundary[k], defer_this_round, "md_color_bnd");
     }
 
     // Phase 2 — ghost exchange, folded host-side in (source device,
@@ -654,37 +614,13 @@ MultiDevResult multidev_color(const graph::CsrGraph& g, const MultiDevOptions& o
     schedule_links(round_stats);
 
     // Phase 3 — interior speculation, overlapping the in-flight exchange.
-    // At P=1 this is the round's single full-worklist launch: the classic
-    // THREAD-centric data-driven kernel, bit-identical with the
-    // single-device scheme (same trace, same kernel name).
-    if (parts > 1) {
-      for (std::uint32_t k = 0; k < parts; ++k) {
-        launch_slice(k, num_boundary[k], nodes[k].w_in->size(), false,
-                     ".md_color_int");
-      }
-    } else if (!nodes[0].w_in->empty()) {
-      Node& node = nodes[0];
-      const std::uint32_t items = node.w_in->size();
-      simt::LaunchConfig racy_cfg{
-          (items + opts.block_size - 1) / opts.block_size, opts.block_size};
-      racy_cfg.racy_visibility = true;  // speculation feeds on st_racy races
-      const check::KernelSpec spec = coloring::graph_spec(node.dg, opts.use_ldg)
-                                         .reads(node.w_in->items(), 0, items)
-                                         .reads(node.colors)
-                                         .racy(node.colors);
-      node.dev->launch(racy_cfg, "d0.md_color", spec, [&, items](simt::Thread& t) {
-        const auto idx = t.global_id();
-        if (idx >= items) return;
-        t.compute(2);
-        const vid_t v = t.ld(node.w_in->items(), idx);
-        const color_t c = device_first_fit(t, node.dg, node.colors, v,
-                                           opts.use_ldg);
-        t.st_racy(node.colors, v, c);
-      });
+    for (std::uint32_t k = 0; k < parts; ++k) {
+      launch_slice(k, num_boundary[k], nodes[k].w_in->size(), false,
+                   "md_color_int");
     }
 
     // Phase 4 — LOCAL conflict detection, still overlapping the in-flight
-    // exchange: at P>1 the scan covers OWNED neighbors only (ghost edges
+    // exchange: the scan covers OWNED neighbors only (ghost edges
     // are judged by next round's cross-cut scan, once the payload has
     // landed), so running it before the exchange arrives is sound — and
     // the exchange gains the detect kernel and the worklist readbacks as
@@ -693,49 +629,10 @@ MultiDevResult multidev_color(const graph::CsrGraph& g, const MultiDevOptions& o
     // into w_out behind the cross-cut losers already there; boundary
     // winners park on pend_out for next round's cross check. The global-id
     // tie-break matches the cross scan's, so the two halves of the split
-    // agree on who recolors. P=1 keeps the whole-adjacency thread-centric
-    // kernel, bit-identical with the single-device scheme.
+    // agree on who recolors.
     for (std::uint32_t k = 0; k < parts; ++k) {
       Node& node = nodes[k];
       const std::uint32_t count = node.w_in->size();
-      const std::string name = "d" + std::to_string(k) + ".md_detect";
-      if (parts == 1) {
-        if (count == 0) continue;
-        node.w_out->clear();
-        node.dev->copy_to_device(sizeof(std::uint32_t));  // memset of the out tail
-        const simt::LaunchConfig cfg{
-            (count + opts.block_size - 1) / opts.block_size, opts.block_size};
-        check::KernelSpec spec = coloring::graph_spec(node.dg, opts.use_ldg)
-                                     .reads(node.w_in->items(), 0, count)
-                                     .reads(node.colors)
-                                     .pushes(*node.w_out, count);
-        if (opts.use_ldg) {
-          spec.ldg(node.l2g);
-        } else {
-          spec.reads(node.l2g);
-        }
-        node.dev->launch(cfg, name, spec, [&, count](simt::Thread& t) {
-          const auto idx = t.global_id();
-          if (idx >= count) return;
-          t.compute(2);
-          const vid_t v = t.ld(node.w_in->items(), idx);
-          const vid_t global_v =
-              opts.use_ldg ? t.ldg(node.l2g, v) : t.ld(node.l2g, v);
-          if (!device_conflict_global(t, node.dg, node.colors, node.l2g, v,
-                                      global_v, opts.use_ldg)) {
-            return;
-          }
-          if (opts.scan_push) {
-            t.scan_push(*node.w_out, v);
-          } else {
-            const std::uint32_t slot = t.atomic_add(node.w_out->tail(), 0, 1U);
-            t.st(node.w_out->items(), slot, v);
-          }
-        });
-        node.dev->copy_to_host(sizeof(std::uint32_t));  // read |W_out|
-        std::swap(node.w_in, node.w_out);
-        continue;
-      }
       const bool pend_live = !node.pend_in->empty();
       if (count == 0 && !pend_live) continue;
       if (count > 0) {
@@ -825,7 +722,7 @@ MultiDevResult multidev_color(const graph::CsrGraph& g, const MultiDevOptions& o
           spec.reads(node.l2g, 0, num_owned);
         }
         spec.pushes(*node.w_out, count).pushes(*node.pend_out, nb);
-        node.dev->launch_phased(cfg, name, spec, phases);
+        node.dev->launch_phased(cfg, node.prefix + "md_detect", spec, phases);
         // Read back both out tails: the loser list and the pending list.
         node.dev->copy_to_host(2 * sizeof(std::uint32_t));
       } else {
@@ -858,7 +755,7 @@ MultiDevResult multidev_color(const graph::CsrGraph& g, const MultiDevOptions& o
         round_stats.cycles > round_stats.stall_cycles
             ? round_stats.cycles - round_stats.stall_cycles
             : 0;
-    if (parts > 1) result.exchange_rounds.push_back(round_stats);
+    result.exchange_rounds.push_back(round_stats);
   }
 
   // --- gather ---------------------------------------------------------------
@@ -902,7 +799,7 @@ MultiDevResult multidev_color(const graph::CsrGraph& g, const MultiDevOptions& o
     // Fleet views: kernels concatenate in device order (names carry the
     // "d<k>." prefix), transfers sum, san/prof findings append.
     for (const simt::KernelStats& ks : breakdown.report.kernels) {
-      result.fleet_report.kernels.push_back(ks);
+      result.report.kernels.push_back(ks);
     }
     const auto add_transfers = [](simt::TransferStats& into,
                                   const simt::TransferStats& from) {
@@ -910,9 +807,9 @@ MultiDevResult multidev_color(const graph::CsrGraph& g, const MultiDevOptions& o
       into.cycles += from.cycles;
       into.count += from.count;
     };
-    add_transfers(result.fleet_report.h2d, breakdown.report.h2d);
-    add_transfers(result.fleet_report.d2h, breakdown.report.d2h);
-    add_transfers(result.fleet_report.d2d, breakdown.report.d2d);
+    add_transfers(result.report.h2d, breakdown.report.h2d);
+    add_transfers(result.report.d2h, breakdown.report.d2h);
+    add_transfers(result.report.d2d, breakdown.report.d2d);
     result.san.total += breakdown.san.total;
     for (const san::Finding& f : breakdown.san.findings) {
       result.san.findings.push_back(f);
@@ -928,7 +825,7 @@ MultiDevResult multidev_color(const graph::CsrGraph& g, const MultiDevOptions& o
   }
   // All timelines meet at the final barrier, so any device's total IS the
   // fleet makespan; take the max anyway for clarity.
-  result.fleet_report.total_cycles = makespan;
+  result.report.total_cycles = makespan;
   result.model_ms = opts.device.cycles_to_ms(makespan);
   std::uint64_t hidden_total = 0;
   for (const prof::ExchangeRound& er : result.exchange_rounds) {

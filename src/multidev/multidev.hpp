@@ -13,7 +13,7 @@
 /// and nothing consumes it until the NEXT round, so it has the entire
 /// back half of the round to fly. Each lockstep round runs:
 ///
-///   0. cross-cut conflict scan (P>1): last round's boundary winners,
+///   0. cross-cut conflict scan: last round's boundary winners,
 ///      parked on a pending list, are re-checked against the ghost colors
 ///      that just landed — ghost edges ONLY, with the global-id tie-break
 ///      (the lower global id loses and re-enters its owner's worklist).
@@ -51,12 +51,15 @@
 /// There is no retraction traffic: a conflict loser keeps its stale color
 /// locally AND in its remote ghost copies (the two views stay consistent,
 /// which the tie-break relies on) until its recolor ships next round.
-/// At P=1 every phase degenerates to the classic single-device data-driven
-/// round (thread-centric kernels, same trace) — bit-identical with D-ldg.
-/// At P>1 the kernels are WARP-centric (one worklist item per warp, the
-/// adjacency strided across lanes, data_warp_color style): the worklists
-/// are degree-sorted and hub-heavy, and a thread-centric scan would
-/// serialize each hub row into one lane's dependent-load chain.
+/// The kernels are WARP-centric (one worklist item per warp, the adjacency
+/// strided across lanes, data_warp_color style): the worklists are
+/// degree-sorted and hub-heavy, and a thread-centric scan would serialize
+/// each hub row into one lane's dependent-load chain.
+///
+/// Every P runs this one pipeline. P=1 is one shard with an empty
+/// boundary: no exchange ever ships, and the result is a proper coloring
+/// but not D-ldg's — the single-device scheme is coloring::data_color,
+/// which run_scheme uses whenever num_devices == 1.
 ///
 /// Determinism: devices execute their kernels one after another on the
 /// host, exchanges are folded in (source device, worklist position) order,
@@ -72,6 +75,7 @@
 #include <vector>
 
 #include "coloring/coloring.hpp"
+#include "coloring/gpu_common.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/partition.hpp"
 #include "prof/prof.hpp"
@@ -131,35 +135,30 @@ struct DeviceBreakdown {
   check::Report check;              ///< per-device launch-plan checker output
 };
 
-struct MultiDevResult {
-  coloring::Coloring coloring;      ///< global vertex order
-  coloring::color_t num_colors = 0;
-  std::uint32_t rounds = 0;         ///< global lockstep rounds
+/// The inherited GpuResult fields hold the fleet view: `coloring` in global
+/// vertex order, `iterations` = global lockstep rounds, `model_ms` = fleet
+/// makespan (all timelines align at barriers), `wall_ms` = host wall clock
+/// of the whole simulation. `report` concatenates every device's kernel log
+/// in device order (kernel names carry the "d<k>." prefix), sums the
+/// transfer totals and sets total_cycles to the makespan; `san` findings
+/// and `prof` launches/transfers append in device order; `check` reports
+/// merge in device order (launch plans concatenate).
+struct MultiDevResult : coloring::GpuResult {
   std::uint64_t cut_edges = 0;      ///< directed cut of the partition
   std::uint64_t exchanged_colors = 0;  ///< total ghost updates shipped
   std::uint32_t ghost_rounds_verified = 0;  ///< verify_ghosts passes run
   /// Per-round exchange batches (count, bytes, hidden/stall cycles), in
   /// round order; also copied into `prof.exchange_rounds` when profiling so
-  /// the JSON export carries it. Empty at P=1.
+  /// the JSON export carries it. All-zero batches at P=1.
   std::vector<prof::ExchangeRound> exchange_rounds;
-  double model_ms = 0.0;  ///< fleet makespan (all timelines align at barriers)
   double hidden_ms = 0.0;  ///< exchange cycles the overlap hid, fleet total
-  double wall_ms = 0.0;   ///< host wall clock of the whole simulation
   std::vector<DeviceBreakdown> devices;  ///< one entry per device, in order
-  /// Fleet-level views: the kernel logs of every device concatenated in
-  /// device order (kernel names carry the "d<k>." prefix), transfer totals
-  /// summed, total_cycles = the makespan; san findings appended in device
-  /// order; profiler launches/transfers appended in device order; checker
-  /// reports merged in device order (launch plans concatenate).
-  simt::DeviceReport fleet_report;
-  san::Report san;
-  prof::Report prof;
-  check::Report check;
 };
 
 /// Color `g` on `opts.num_devices` simulated devices. Aborts on option
-/// misuse (seed 0, zero devices); the caller verifies the coloring (the
-/// runner does, and the tests use the shared oracle).
+/// misuse (seed 0, zero devices, a block that is not a warp multiple); the
+/// caller verifies the coloring (the runner does, and the tests use the
+/// shared oracle).
 MultiDevResult multidev_color(const graph::CsrGraph& g, const MultiDevOptions& opts);
 
 }  // namespace speckle::multidev

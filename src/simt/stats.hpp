@@ -70,10 +70,6 @@ struct KernelStats {
     stalls += sm_partial.stalls;
   }
 
-  /// Achieved issue throughput as a fraction of peak (Fig 3a, "compute").
-  double compute_utilization() const {
-    return stalls.total > 0 ? stalls.busy / stalls.total : 0.0;
-  }
   /// Achieved DRAM bandwidth as a fraction of peak (Fig 3a, "memory").
   double bandwidth_utilization(const DeviceConfig& dev) const;
 };

@@ -113,10 +113,13 @@ void merge_warp(std::span<const ThreadTrace> lanes, std::uint32_t line_bytes,
   // general loop below would take its converged branch every round. Decide
   // that once with vectorized stream compares, then emit without any cursor
   // or participation bookkeeping. Produces the identical instruction stream.
+  // Empty lanes may hold null streams, which memcmp must never see (even
+  // at length 0), so a zero length skips the compare.
   bool lockstep = true;
   for (std::size_t l = 1; l < n && lockstep; ++l) {
     lockstep = len[l] == len[0] &&
-               std::memcmp(keys[l], keys[0], len[0] * sizeof(keys[0][0])) == 0;
+               (len[0] == 0 ||
+                std::memcmp(keys[l], keys[0], len[0] * sizeof(keys[0][0])) == 0);
   }
   if (lockstep) {
     const std::uint16_t active = static_cast<std::uint16_t>(n);

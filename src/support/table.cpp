@@ -97,31 +97,4 @@ std::string format_si(double value, int digits) {
   return buf;
 }
 
-std::string format_bytes(std::uint64_t bytes) {
-  const char* units[] = {"B", "KiB", "MiB", "GiB", "TiB"};
-  double value = static_cast<double>(bytes);
-  int unit = 0;
-  while (value >= 1024.0 && unit < 4) {
-    value /= 1024.0;
-    ++unit;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.1f %s", value, units[unit]);
-  return buf;
-}
-
-std::string format_cycles(std::uint64_t cycles) {
-  std::string digits = std::to_string(cycles);
-  std::string out;
-  out.reserve(digits.size() + digits.size() / 3);
-  int count = 0;
-  for (auto it = digits.rbegin(); it != digits.rend(); ++it) {
-    if (count != 0 && count % 3 == 0) out.push_back(',');
-    out.push_back(*it);
-    ++count;
-  }
-  std::reverse(out.begin(), out.end());
-  return out;
-}
-
 }  // namespace speckle::support

@@ -46,7 +46,5 @@ class Table {
 
 /// Format helpers shared by benches.
 std::string format_si(double value, int digits = 2);     ///< 1.23M, 45.6K …
-std::string format_bytes(std::uint64_t bytes);           ///< 1.2 GiB …
-std::string format_cycles(std::uint64_t cycles);         ///< with thousands separators
 
 }  // namespace speckle::support

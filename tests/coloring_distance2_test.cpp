@@ -57,6 +57,10 @@ struct D2Case {
   CsrGraph (*make)();
 };
 
+// Without this gtest prints the case as raw bytes, pointers included, so the
+// listed test names would change with every address-space layout.
+void PrintTo(const D2Case& c, std::ostream* os) { *os << c.name; }
+
 CsrGraph d2_er() { return build_csr(400, graph::erdos_renyi(400, 1600, 7)); }
 CsrGraph d2_grid() { return build_csr(225, graph::stencil2d(15, 15)); }
 CsrGraph d2_grid3() { return build_csr(343, graph::stencil3d(7, 7, 7)); }

@@ -25,6 +25,10 @@ struct GraphCase {
   CsrGraph (*make)();
 };
 
+// Without this gtest prints the case as raw bytes, pointers included, so the
+// listed test names would change with every address-space layout.
+void PrintTo(const GraphCase& c, std::ostream* os) { *os << c.name; }
+
 CsrGraph ext_er() { return build_csr(1500, graph::erdos_renyi(1500, 12000, 7)); }
 CsrGraph ext_skew() {
   return build_csr(1 << 11, graph::rmat(11, 14000,

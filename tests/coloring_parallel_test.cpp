@@ -22,6 +22,10 @@ struct GraphCase {
   CsrGraph (*make)();
 };
 
+// Without this gtest prints the case as raw bytes, pointers included, so the
+// listed test names would change with every address-space layout.
+void PrintTo(const GraphCase& c, std::ostream* os) { *os << c.name; }
+
 CsrGraph make_er() { return build_csr(600, graph::erdos_renyi(600, 4200, 7)); }
 CsrGraph make_grid() { return build_csr(400, graph::stencil2d(20, 20)); }
 CsrGraph make_rmat() {

@@ -189,7 +189,7 @@ TEST_P(FuzzMultiDev, ShardedColoringProperWithConsistentGhosts) {
   const CsrGraph g = random_soup(seed + 9000);
   support::Xoshiro256 rng(seed ^ 0xf122u);
   multidev::MultiDevOptions opts;
-  opts.num_devices = static_cast<std::uint32_t>(2 + rng.next_below(7));
+  opts.num_devices = static_cast<std::uint32_t>(1 + rng.next_below(8));
   constexpr graph::PartitionKind kKinds[] = {graph::PartitionKind::kContiguous,
                                              graph::PartitionKind::kHash,
                                              graph::PartitionKind::kBfsBlocks};

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -65,6 +66,15 @@ struct ModelCase {
   std::uint64_t expect_n;
 };
 
+std::string model_name(const ModelCase& c) {
+  const std::string spec(c.spec);
+  return spec.substr(0, spec.find(':'));
+}
+
+// Without this gtest prints the case as raw bytes, pointer included, so the
+// listed test names would change with every address-space layout.
+void PrintTo(const ModelCase& c, std::ostream* os) { *os << model_name(c); }
+
 class EveryModel : public ::testing::TestWithParam<ModelCase> {};
 
 TEST_P(EveryModel, CsrInvariantsAndVertexCount) {
@@ -101,10 +111,7 @@ INSTANTIATE_TEST_SUITE_P(
         ModelCase{"grid3d:nx=15,ny=16,nz=17,defects=0.5", 4080},
         ModelCase{"localrand:n=5000,deglo=1,deghi=7", 5000},
         ModelCase{"er:n=4000,deg=8", 4000}),
-    [](const auto& info) {
-      std::string name(info.param.spec);
-      return name.substr(0, name.find(':'));
-    });
+    [](const auto& info) { return model_name(info.param); });
 
 // --- degree-distribution shape -------------------------------------------
 
@@ -218,6 +225,10 @@ TEST(GeneratorSpecParseDeath, MalformedSpecsAreRejectedLoudly) {
   EXPECT_DEATH(graph::parse_generator_spec("ba:n=12q", 7), "malformed value");
   EXPECT_DEATH(graph::parse_generator_spec("rmat:n=1000", 7), "power-of-two");
   EXPECT_DEATH(graph::parse_generator_spec("rmat:scale=10,a=0.9", 7), "sum to 1");
+  // The serial path covers the suite's models only; kron is sharded-only.
+  EXPECT_DEATH(graph::generate_edges_serial(
+                   graph::parse_generator_spec("kron:scale=10,deg=8", 7)),
+               "generate_edges_serial covers only");
 }
 
 TEST(GeneratorSpecParseDeath, SeedZeroIsRejectedAtEveryEntryPoint) {

@@ -108,54 +108,9 @@ TEST(LocalRandom, DegreeWithinWindow) {
   }
 }
 
-TEST(Geometric, EdgesRespectRadius) {
-  const EdgeList edges = geometric(500, 0.08, 12);
-  const CsrGraph g = build_csr(500, EdgeList(edges));
-  EXPECT_TRUE(g.is_symmetric());
-  EXPECT_GT(edges.size(), 0U);
-}
-
-TEST(Geometric, DenserWithLargerRadius) {
-  const EdgeList small = geometric(400, 0.05, 3);
-  const EdgeList large = geometric(400, 0.15, 3);
-  EXPECT_GT(large.size(), small.size());
-}
-
 TEST(RingLattice, UniformDegree) {
   const CsrGraph g = build_csr(20, ring_lattice(20, 3));
   for (vid_t v = 0; v < 20; ++v) EXPECT_EQ(g.degree(v), 6U);
-}
-
-TEST(WattsStrogatz, ZeroBetaIsRingLattice) {
-  EXPECT_EQ(watts_strogatz(30, 2, 0.0, 1), ring_lattice(30, 2));
-}
-
-TEST(WattsStrogatz, RewiringPreservesEdgeCountAndLoopFreedom) {
-  const EdgeList edges = watts_strogatz(200, 3, 0.3, 7);
-  EXPECT_EQ(edges.size(), ring_lattice(200, 3).size());
-  for (const Edge& e : edges) EXPECT_NE(e.src, e.dst);
-  EXPECT_NE(edges, ring_lattice(200, 3));  // some rewiring happened
-}
-
-TEST(WattsStrogatz, FullRewireBreaksLocality) {
-  const CsrGraph regular = build_csr(400, watts_strogatz(400, 3, 0.0, 5));
-  const CsrGraph random = build_csr(400, watts_strogatz(400, 3, 1.0, 5));
-  // Degrees stay near 6 but the variance rises once edges scatter.
-  EXPECT_GT(analyze_degrees(random).degree_variance,
-            analyze_degrees(regular).degree_variance);
-}
-
-TEST(BarabasiAlbert, DegreesAndHubs) {
-  const CsrGraph g = build_csr(2000, barabasi_albert(2000, 3, 11));
-  const DegreeReport r = analyze_degrees(g);
-  EXPECT_GE(r.min_degree, 3U);              // every late vertex attaches m times
-  EXPECT_GT(r.max_degree, 10 * 3U);         // preferential attachment grows hubs
-  EXPECT_NEAR(r.avg_degree, 6.0, 1.0);      // ~2m
-  EXPECT_EQ(count_components(g), 1U);       // attachment keeps it connected
-}
-
-TEST(BarabasiAlbert, Deterministic) {
-  EXPECT_EQ(barabasi_albert(300, 2, 9), barabasi_albert(300, 2, 9));
 }
 
 TEST(Complete, AllPairs) {

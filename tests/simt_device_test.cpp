@@ -324,4 +324,43 @@ TEST(DeviceDeathTest, WorklistOverflowAborts) {
                "overflow");
 }
 
+// Occupancy calculator: which resource (blocks, warps, registers,
+// scratchpad) caps the resident blocks per SM (Fig 8's mechanism).
+TEST(Occupancy, RegisterLimited128) {
+  const DeviceConfig dev = DeviceConfig::k20c();
+  EXPECT_EQ(occupancy_blocks_per_sm(dev, {1, 128, 37, 0}), 13U);  // 65536 / (37*128)
+}
+
+TEST(Occupancy, BlockLimitedTiny) {
+  const DeviceConfig dev = DeviceConfig::k20c();
+  // 16 of 64 resident warps: Fig 8's 32-thread cliff.
+  EXPECT_EQ(occupancy_blocks_per_sm(dev, {1, 32, 16, 0}), dev.max_blocks_per_sm);
+}
+
+TEST(Occupancy, ScratchpadLimited) {
+  const DeviceConfig dev = DeviceConfig::k20c();
+  EXPECT_EQ(occupancy_blocks_per_sm(dev, {1, 128, 16, 24 * 1024}), 2U);
+}
+
+TEST(Occupancy, WarpLimitedLargeBlock) {
+  const DeviceConfig dev = DeviceConfig::k20c();
+  // 64 warps / 32 warps-per-block = 2 blocks; registers allow 4.
+  EXPECT_EQ(occupancy_blocks_per_sm(dev, {1, 1024, 16, 0}), 2U);
+}
+
+TEST(Occupancy, MatchesExecutorOccupancy) {
+  // The executor sizes its waves with the same calculator the profiler
+  // records for each launch.
+  DeviceConfig cfg_dev = DeviceConfig::k20c();
+  cfg_dev.profile = true;
+  Device dev(cfg_dev);
+  for (std::uint32_t block : {32U, 64U, 128U, 256U, 512U, 1024U}) {
+    const LaunchConfig cfg{1, block, 37, 0};
+    dev.launch(cfg, "k", [](Thread& t) { t.compute(1); });
+    EXPECT_EQ(dev.prof_report().launches.back().occupancy_blocks_per_sm,
+              occupancy_blocks_per_sm(cfg_dev, cfg))
+        << block;
+  }
+}
+
 }  // namespace

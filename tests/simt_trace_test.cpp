@@ -200,4 +200,12 @@ TEST(MergeWarp, ReusedOutputIsClearedFirst) {
   EXPECT_TRUE(out.op(0).addrs.empty());
 }
 
+TEST(MergeWarp, EmptyLanesMergeToNothing) {
+  // Lanes that recorded nothing (an early-exit guard on every thread) hold
+  // null op streams; the lockstep compare must not hand them to memcmp.
+  std::vector<ThreadTrace> lanes(4);
+  const WarpTrace warp = merge_warp(lanes, 128);
+  EXPECT_EQ(warp.size(), 0U);
+}
+
 }  // namespace

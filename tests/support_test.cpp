@@ -176,8 +176,6 @@ TEST(Table, FormatHelpers) {
   EXPECT_EQ(format_si(1500.0, 1), "1.5K");
   EXPECT_EQ(format_si(2.5e6, 1), "2.5M");
   EXPECT_EQ(format_si(3.0e9, 0), "3G");
-  EXPECT_EQ(format_bytes(2048), "2.0 KiB");
-  EXPECT_EQ(format_cycles(1234567), "1,234,567");
 }
 
 TEST(Options, ParsesKeysFlagsPositional) {

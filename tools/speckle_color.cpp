@@ -6,7 +6,7 @@
 /// Usage:
 ///   speckle_color --graph=matrix.mtx [--scheme=D-ldg] [--block=128]
 ///                 [--out=colors.txt] [--balance] [--refine] [--distance2]
-///                 [--device-report] [--sanitize] [--check] [--seed=1] [--threads=N]
+///                 [--profile] [--sanitize] [--check] [--seed=1] [--threads=N]
 ///                 [--devices=P] [--partitioner=contiguous|hash|bfs]
 ///                 [--graph-cache=DIR]
 ///
@@ -63,8 +63,6 @@
 #include "graph/suite.hpp"
 #include "support/check.hpp"
 #include "support/options.hpp"
-#include "simt/metrics.hpp"
-#include "support/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace speckle;
@@ -78,7 +76,6 @@ int main(int argc, char** argv) {
   const bool balance = opts.get_bool("balance", false);
   const bool refine = opts.get_bool("refine", false);
   const bool distance2 = opts.get_bool("distance2", false);
-  const bool device_report = opts.get_bool("device-report", false);
   const bool sanitize = opts.get_bool("sanitize", false);
   const bool check = opts.get_bool("check", false);
   // Bare --profile stores "true": text report only. =json/=trace/=both also
@@ -94,7 +91,7 @@ int main(int argc, char** argv) {
   const std::string graph_cache =
       graph::resolve_graph_cache_dir(opts.get_string("graph-cache", ""));
   opts.validate({"graph", "suite", "denom", "scheme", "block", "out", "balance",
-                 "refine", "distance2", "device-report", "sanitize", "check", "profile",
+                 "refine", "distance2", "sanitize", "check", "profile",
                  "profile-out", "seed", "threads", "devices", "partitioner",
                  "graph-cache"});
   SPECKLE_CHECK(seed != 0,
@@ -193,11 +190,6 @@ int main(int argc, char** argv) {
                   << " hidden=" << er.hidden_cycles
                   << " stall=" << er.stall_cycles << "\n";
       }
-    }
-    if (device_report && !r.report.kernels.empty()) {
-      std::cout << simt::format_kernel_table(r.report, run.device)
-                << "stall breakdown:\n"
-                << simt::format_stall_breakdown(r.report.aggregate_stalls());
     }
   }
   if (sanitize) std::cout << san.format();

@@ -1,30 +1,28 @@
 /// \file speckle_gen.cpp
-/// Graph generator CLI: materialize any suite graph or raw generator as a
+/// Graph generator CLI: materialize any suite graph or generator spec as a
 /// Matrix Market file (so external tools — or this library on another
 /// machine — can consume identical inputs).
 ///
 /// Usage:
 ///   speckle_gen --suite=rmat-g --denom=8 --out=rmat-g.mtx
 ///   speckle_gen --spec=ba:n=1m,attach=4 --threads=4 --out=ba.mtx
-///   speckle_gen --gen=rmat --scale=18 --edges=2000000 --a=0.45 --b=0.15
-///               --c=0.15 --d=0.25 --out=my.mtx
-///   speckle_gen --gen=stencil3d --nx=64 --ny=64 --nz=64 --out=grid.mtx
-///   speckle_gen --gen=geometric --n=10000 --radius=0.02 --out=disk.mtx
+///   speckle_gen --spec=rmat:scale=18,edges=2m,a=0.45,b=0.15,c=0.15,d=0.25
+///               --out=my.mtx
+///   speckle_gen --spec=grid3d:nx=64,ny=64,nz=64 --out=grid.mtx
+///   speckle_gen --spec=rgg2d:n=10000,radius=0.02 --out=disk.mtx
 ///
 /// --spec takes a GeneratorSpec string (graph/genspec.hpp) and runs the
 /// sharded parallel pipeline, honoring --threads=N (0 = one per hardware
-/// thread); the output is bit-identical at every thread count. The legacy
-/// --suite / --gen paths replay the historical single-stream generators,
-/// where --threads is accepted only for command-line symmetry with
-/// speckle_color and has no effect.
+/// thread); the output is bit-identical at every thread count. The --suite
+/// path replays the historical single-stream generators, where --threads
+/// is accepted only for command-line symmetry with speckle_color and has
+/// no effect.
 
 #include <algorithm>
 #include <iostream>
 #include <thread>
 
 #include "graph/analysis.hpp"
-#include "graph/builder.hpp"
-#include "graph/generators.hpp"
 #include "graph/genspec.hpp"
 #include "graph/matrix_market.hpp"
 #include "graph/suite.hpp"
@@ -34,28 +32,29 @@
 
 int main(int argc, char** argv) {
   using namespace speckle;
-  using graph::vid_t;
   support::Options opts(argc, argv);
   const std::string suite = opts.get_string("suite", "");
-  const std::string gen = opts.get_string("gen", "");
   const std::string spec_text = opts.get_string("spec", "");
   const std::string out = opts.get_string("out", "");
+  const auto denom = static_cast<std::uint32_t>(opts.get_int("denom", 8));
   const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
   const auto threads = static_cast<unsigned>(opts.get_int("threads", 0));
+  if (spec_text.empty()) {
+    opts.validate({"suite", "denom", "out", "seed", "threads"});
+  } else {
+    opts.validate({"spec", "out", "seed", "threads"});
+  }
   SPECKLE_CHECK(seed != 0,
                 "--seed=0 is reserved (the suite derives sub-seeds as "
                 "seed+k / seed*k products, which seed 0 collapses); pass a "
                 "nonzero seed");
   SPECKLE_CHECK(!out.empty(), "--out=<path.mtx> is required");
-  SPECKLE_CHECK((suite.empty() ? 0 : 1) + (gen.empty() ? 0 : 1) +
-                        (spec_text.empty() ? 0 : 1) ==
-                    1,
-                "pass exactly one of --suite=<name>, --gen=<kind>, or "
+  SPECKLE_CHECK(suite.empty() != spec_text.empty(),
+                "pass exactly one of --suite=<name> or "
                 "--spec=<model:key=value,...>");
 
   graph::CsrGraph g;
   if (!spec_text.empty()) {
-    opts.validate({"spec", "out", "seed", "threads"});
     // parse_generator_spec rejects seed 0 (explicit or inherited) loudly.
     const graph::GeneratorSpec spec =
         graph::parse_generator_spec(spec_text, seed);
@@ -63,46 +62,8 @@ int main(int argc, char** argv) {
         threads != 0 ? threads
                      : std::max(1u, std::thread::hardware_concurrency()));
     g = graph::generate_graph(spec, pool);
-  } else if (!suite.empty()) {
-    const auto denom = static_cast<std::uint32_t>(opts.get_int("denom", 8));
-    opts.validate({"suite", "denom", "out", "seed", "threads"});
-    g = graph::make_suite_graph(suite, denom, seed);
-  } else if (gen == "rmat") {
-    const auto scale = static_cast<std::uint32_t>(opts.get_int("scale", 16));
-    const auto edges = static_cast<std::uint64_t>(
-        opts.get_int("edges", static_cast<std::int64_t>(8) << scale));
-    graph::RmatParams params;
-    params.a = opts.get_double("a", 0.25);
-    params.b = opts.get_double("b", 0.25);
-    params.c = opts.get_double("c", 0.25);
-    params.d = opts.get_double("d", 0.25);
-    opts.validate({"gen", "scale", "edges", "a", "b", "c", "d", "out", "seed", "threads"});
-    g = graph::build_csr(1u << scale, graph::rmat(scale, edges, params, seed));
-  } else if (gen == "stencil2d") {
-    const auto nx = static_cast<vid_t>(opts.get_int("nx", 512));
-    const auto ny = static_cast<vid_t>(opts.get_int("ny", 512));
-    opts.validate({"gen", "nx", "ny", "out", "seed", "threads"});
-    g = graph::build_csr(nx * ny, graph::stencil2d(nx, ny));
-  } else if (gen == "stencil3d") {
-    const auto nx = static_cast<vid_t>(opts.get_int("nx", 64));
-    const auto ny = static_cast<vid_t>(opts.get_int("ny", 64));
-    const auto nz = static_cast<vid_t>(opts.get_int("nz", 64));
-    opts.validate({"gen", "nx", "ny", "nz", "out", "seed", "threads"});
-    g = graph::build_csr(nx * ny * nz, graph::stencil3d(nx, ny, nz));
-  } else if (gen == "geometric") {
-    const auto n = static_cast<vid_t>(opts.get_int("n", 10000));
-    const double radius = opts.get_double("radius", 0.02);
-    opts.validate({"gen", "n", "radius", "out", "seed", "threads"});
-    g = graph::build_csr(n, graph::geometric(n, radius, seed));
-  } else if (gen == "erdos-renyi") {
-    const auto n = static_cast<vid_t>(opts.get_int("n", 100000));
-    const auto edges = static_cast<std::uint64_t>(opts.get_int("edges", 10 * n));
-    opts.validate({"gen", "n", "edges", "out", "seed", "threads"});
-    g = graph::build_csr(n, graph::erdos_renyi(n, edges, seed));
   } else {
-    SPECKLE_CHECK(false, "unknown --gen '" + gen +
-                             "' (rmat, stencil2d, stencil3d, geometric, "
-                             "erdos-renyi)");
+    g = graph::make_suite_graph(suite, denom, seed);
   }
 
   const graph::DegreeReport deg = graph::analyze_degrees(g);
