@@ -10,8 +10,8 @@
 //    acceptance bar is >=5x on small batches on at least two Table I
 //    graphs; every post-mutation coloring is verified proper here.
 //
-//   bench_serve --denom=16 --graphs=Hamrle3,G3_circuit --requests=400 \
-//               --threads=4 --json=BENCH_serve.json
+//   bench_serve --denom=16 --graphs=Hamrle3,G3_circuit --requests=400
+//               --threads=4 --json=BENCH_serve.json   (one command line)
 //
 // Latency/req/s are wall-clock (machine-dependent); colors, iterations,
 // dirty sizes and model_ms are simulated and bit-identical at any

@@ -31,12 +31,17 @@ const char* scheme_name(Scheme s) {
   return "?";
 }
 
-Scheme scheme_from_name(const std::string& name) {
+std::optional<Scheme> find_scheme(const std::string& name) {
   for (Scheme s : all_schemes()) {
     if (name == scheme_name(s)) return s;
   }
-  SPECKLE_CHECK(false, "unknown scheme '" + name + "'");
-  return Scheme::kSequential;
+  return std::nullopt;
+}
+
+Scheme scheme_from_name(const std::string& name) {
+  const std::optional<Scheme> s = find_scheme(name);
+  SPECKLE_CHECK(s.has_value(), "unknown scheme '" + name + "'");
+  return *s;
 }
 
 bool scheme_uses_gpu(Scheme s) {

@@ -5,6 +5,7 @@
 /// so each figure is "for graph in suite, for scheme in list: run".
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,9 @@ enum class Scheme {
 };
 
 const char* scheme_name(Scheme s);
+/// Lookup by scheme_name(); on an unknown name the first returns nullopt
+/// and the second aborts.
+std::optional<Scheme> find_scheme(const std::string& name);
 Scheme scheme_from_name(const std::string& name);
 bool scheme_uses_gpu(Scheme s);
 

@@ -1,5 +1,6 @@
 #include "graph/suite.hpp"
 
+#include <bit>
 #include <cmath>
 
 #include "graph/builder.hpp"
@@ -8,14 +9,6 @@
 
 namespace speckle::graph {
 namespace {
-
-bool is_pow2(std::uint32_t x) { return x != 0 && (x & (x - 1)) == 0; }
-
-std::uint32_t log2u(std::uint32_t x) {
-  std::uint32_t l = 0;
-  while ((1u << l) < x) ++l;
-  return l;
-}
 
 /// Scale a grid dimension by the cube/square root of denom so the vertex
 /// count shrinks by ~denom while the stencil structure is unchanged.
@@ -39,17 +32,27 @@ const std::vector<SuiteEntry>& suite_entries() {
   return entries;
 }
 
-const SuiteEntry& suite_entry(const std::string& name) {
+const SuiteEntry* find_suite_entry(const std::string& name) {
   for (const SuiteEntry& e : suite_entries()) {
-    if (e.name == name) return e;
+    if (e.name == name) return &e;
   }
-  SPECKLE_CHECK(false, "unknown suite graph '" + name + "'");
-  return suite_entries().front();  // unreachable
+  return nullptr;
+}
+
+const SuiteEntry& suite_entry(const std::string& name) {
+  const SuiteEntry* e = find_suite_entry(name);
+  SPECKLE_CHECK(e != nullptr, "unknown suite graph '" + name + "'");
+  return *e;
+}
+
+bool valid_suite_denom(std::uint32_t denom) {
+  return std::has_single_bit(denom) && denom <= (1U << 19);
 }
 
 GeneratorSpec suite_generator_spec(const std::string& name,
                                    std::uint32_t denom, std::uint64_t seed) {
-  SPECKLE_CHECK(is_pow2(denom), "suite denom must be a power of two");
+  SPECKLE_CHECK(valid_suite_denom(denom),
+                "suite denom must be a power of two <= 2^19");
   // The sub-seeds below are seed+k offsets and callers derive seed*k
   // products; seed 0 collapses those into colliding streams, so reject it
   // loudly instead of silently producing correlated graphs.
@@ -58,7 +61,7 @@ GeneratorSpec suite_generator_spec(const std::string& name,
   if (name == "rmat-er" || name == "rmat-g") {
     // Paper: 1M-vertex R-MAT, ~21M directed CSR entries -> ~10.5 undirected
     // edges per vertex before dedup. (a,b,c,d) per Section IV.
-    const std::uint32_t scale = 20 - log2u(denom);
+    const int scale = 20 - std::countr_zero(denom);
     spec.model = GenModel::kRmat;
     spec.num_vertices = 1ULL << scale;
     spec.num_edges = spec.num_vertices * 21 / 2;

@@ -48,18 +48,24 @@ struct SuiteEntry {
 /// The six suite graphs in Table I order.
 const std::vector<SuiteEntry>& suite_entries();
 
-/// Entry lookup by name; aborts on unknown name.
+/// Entry lookup by name; on an unknown name the first returns nullptr and
+/// the second aborts.
+const SuiteEntry* find_suite_entry(const std::string& name);
 const SuiteEntry& suite_entry(const std::string& name);
+
+/// True for the denoms every suite graph can be built at: powers of two up
+/// to 2^19, the largest at which each twin keeps at least 2 vertices.
+bool valid_suite_denom(std::uint32_t denom);
 
 /// The GeneratorSpec a suite graph is built from: model, scaled dimensions
 /// and the name's historical sub-seed offset, normalized. The spec's seed
 /// already embeds the per-name offset (thermal2 seed+1, Hamrle3 seed+2,
 /// G3_circuit seed+3) that keeps the suite's RNG streams independent.
-/// `denom` must be a power of two >= 1; seed must be nonzero.
+/// `denom` must pass valid_suite_denom; seed must be nonzero.
 GeneratorSpec suite_generator_spec(const std::string& name,
                                    std::uint32_t denom, std::uint64_t seed);
 
-/// Build one suite graph. `denom` must be a power of two >= 1.
+/// Build one suite graph. `denom` must pass valid_suite_denom.
 /// Deterministic for a given (name, denom, seed) — and byte-stable across
 /// releases: the suite draws through generate_edges_serial, the legacy
 /// single-stream path every checked-in golden depends on. The suite's four

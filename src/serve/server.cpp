@@ -16,12 +16,12 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <utility>
 
 #include "serve/protocol.hpp"
+#include "support/deadline.hpp"
 
 namespace speckle::serve {
 namespace {
@@ -119,9 +119,6 @@ bool MemoryStream::write_all(const std::uint8_t* buf, std::size_t count) {
 std::uint64_t Server::serve_stream(ByteStream& stream) {
   Session session(registry_, opts_.session);
   std::uint64_t served = 0;
-  // A timed-out handler keeps running here until it finishes; it is always
-  // drained before the next request may touch the session.
-  std::future<std::vector<std::uint8_t>> zombie;
 
   for (;;) {
     std::uint8_t prefix[kFramePrefixBytes];
@@ -147,45 +144,19 @@ std::uint64_t Server::serve_stream(ByteStream& stream) {
       break;
     }
 
-    if (zombie.valid()) {
-      // Drain the previous timed-out request before this one may run.
-      zombie.get();
-      zombie = {};
-    }
-    const std::uint32_t request_id = peek_request_id(payload);
     if (shutting_down()) {
-      write_frame(stream, make_error(Status::kShuttingDown, request_id,
+      write_frame(stream, make_error(Status::kShuttingDown,
+                                     peek_request_id(payload),
                                      "server is draining"));
       break;
     }
 
-    std::vector<std::uint8_t> response;
-    const std::uint32_t delay = opts_.test_delay_ms;
-    // The task owns the payload: a timed-out handler keeps running as a
-    // zombie past this loop iteration, so it must not borrow loop locals.
-    auto run = [&session, payload = std::move(payload), delay]() {
-      if (delay > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(delay));
-      }
-      return session.handle(payload);
-    };
-    if (opts_.timeout_ms == 0) {
-      response = run();
-    } else {
-      auto pending = std::async(std::launch::async, std::move(run));
-      if (pending.wait_for(std::chrono::milliseconds(opts_.timeout_ms)) ==
-          std::future_status::ready) {
-        response = pending.get();
-      } else {
-        response = make_error(Status::kTimeout, request_id,
-                              "request deadline expired");
-        zombie = std::move(pending);
-      }
-    }
+    const support::ScopedDeadline deadline(
+        std::chrono::milliseconds(opts_.timeout_ms));
+    const std::vector<std::uint8_t> response = session.handle(payload);
     ++served;
     if (!write_frame(stream, response)) break;
   }
-  if (zombie.valid()) zombie.get();
   return served;
 }
 
@@ -197,8 +168,10 @@ namespace {
 std::atomic<int> g_shutdown_pipe_wr{-1};
 std::atomic<Server*> g_signal_server{nullptr};
 
-void on_shutdown_signal(int /*signo*/) {
-  Server* server = g_signal_server.load(std::memory_order_acquire);
+/// Flag the server and make the never-drained self-pipe readable so every
+/// blocked poller — idle connection reads included — wakes and drains.
+/// Async-signal-safe: the signal handler is a call of it.
+void trigger_shutdown(Server* server) {
   if (server != nullptr) server->request_shutdown();
   const int fd = g_shutdown_pipe_wr.load(std::memory_order_acquire);
   if (fd >= 0) {
@@ -208,16 +181,8 @@ void on_shutdown_signal(int /*signo*/) {
   }
 }
 
-/// Initiate shutdown from regular (non-handler) code: flag the server and
-/// make the never-drained self-pipe readable so every blocked poller —
-/// idle connection reads included — wakes and drains.
-void trigger_shutdown(Server& server) {
-  server.request_shutdown();
-  const int fd = g_shutdown_pipe_wr.load(std::memory_order_acquire);
-  if (fd >= 0) {
-    const char byte = 1;
-    [[maybe_unused]] ssize_t ignored = ::write(fd, &byte, 1);
-  }
+void on_shutdown_signal(int /*signo*/) {
+  trigger_shutdown(g_signal_server.load(std::memory_order_acquire));
 }
 }  // namespace
 
@@ -315,7 +280,7 @@ int accept_loop(Server& server, int listen_fd, int wake_fd) {
       if (errno == EINTR) continue;
       // A fatal poll error is a shutdown: wake workers blocked in reads on
       // idle connections, or the pool.drain() below would join forever.
-      trigger_shutdown(server);
+      trigger_shutdown(&server);
       break;
     }
     if (nfds == 2 && (fds[1].revents & POLLIN) != 0) break;  // shutdown
@@ -329,21 +294,34 @@ int accept_loop(Server& server, int listen_fd, int wake_fd) {
   return 0;
 }
 
-}  // namespace
-
-int run_unix(Server& server, const std::string& path, int wake_fd) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+/// Bind a stream socket to `addr`, listen, and serve it until shutdown.
+/// Returns 1 when the socket cannot be set up.
+int listen_and_serve(Server& server, const struct sockaddr* addr,
+                     socklen_t len, int wake_fd) {
+  const int fd = ::socket(addr->sa_family, SOCK_STREAM, 0);
   if (fd < 0) {
     std::perror("speckle_serve: socket");
     return 1;
   }
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  if (::bind(fd, addr, len) != 0 || ::listen(fd, 64) != 0) {
+    std::perror("speckle_serve: bind/listen");
+    ::close(fd);
+    return 1;
+  }
+  return accept_loop(server, fd, wake_fd);
+}
+
+}  // namespace
+
+int run_unix(Server& server, const std::string& path, int wake_fd) {
   struct sockaddr_un addr;
   std::memset(&addr, 0, sizeof(addr));
   addr.sun_family = AF_UNIX;
   if (path.size() >= sizeof(addr.sun_path)) {
     std::fprintf(stderr, "speckle_serve: socket path too long: %s\n",
                  path.c_str());
-    ::close(fd);
     return 1;
   }
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
@@ -354,44 +332,24 @@ int run_unix(Server& server, const std::string& path, int wake_fd) {
       std::fprintf(stderr,
                    "speckle_serve: refusing to replace non-socket file: %s\n",
                    path.c_str());
-      ::close(fd);
       return 1;
     }
     ::unlink(path.c_str());
   }
-  if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) !=
-          0 ||
-      ::listen(fd, 64) != 0) {
-    std::perror("speckle_serve: bind/listen");
-    ::close(fd);
-    return 1;
-  }
-  const int rc = accept_loop(server, fd, wake_fd);
-  ::unlink(path.c_str());
+  const int rc = listen_and_serve(
+      server, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr), wake_fd);
+  if (rc == 0) ::unlink(path.c_str());  // only a socket this call bound
   return rc;
 }
 
 int run_tcp(Server& server, std::uint16_t port, int wake_fd) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    std::perror("speckle_serve: socket");
-    return 1;
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   struct sockaddr_in addr;
   std::memset(&addr, 0, sizeof(addr));
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) !=
-          0 ||
-      ::listen(fd, 64) != 0) {
-    std::perror("speckle_serve: bind/listen");
-    ::close(fd);
-    return 1;
-  }
-  return accept_loop(server, fd, wake_fd);
+  return listen_and_serve(server, reinterpret_cast<struct sockaddr*>(&addr),
+                          sizeof(addr), wake_fd);
 }
 
 }  // namespace speckle::serve

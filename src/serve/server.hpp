@@ -20,11 +20,10 @@
 /// requests complete and their responses are written; only then do
 /// connections close and the process exits 0.
 ///
-/// Per-request timeout: the handler runs under std::async and a
-/// wait_for(timeout). Expiry fails the *request* (a kTimeout error
-/// response) — never the server. The still-running handler is a zombie the
-/// loop drains before the next request touches the same session, so
-/// session state is never accessed concurrently.
+/// Per-request timeout: each request runs inline on its connection thread
+/// under a support::ScopedDeadline of timeout_ms. The work stops at the
+/// next simulated launch or session commit past the deadline, and the
+/// *request* fails with a kTimeout response — never the server.
 
 #include <atomic>
 #include <cstdint>
@@ -42,7 +41,6 @@ struct ServerOptions {
   SessionConfig session;
   std::uint32_t timeout_ms = 0;     ///< per-request deadline; 0 = none
   std::uint32_t accept_threads = 4; ///< worker pool size for listeners
-  std::uint32_t test_delay_ms = 0;  ///< test hook: stall each request
 };
 
 /// Result of a blocking exact-length read.
@@ -99,7 +97,6 @@ class Server {
   /// shutdown. Returns the number of requests answered.
   std::uint64_t serve_stream(ByteStream& stream);
 
-  GraphRegistry& registry() { return registry_; }
   const ServerOptions& options() const { return opts_; }
 
   void request_shutdown() { shutdown_.store(true, std::memory_order_release); }

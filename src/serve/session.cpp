@@ -1,38 +1,20 @@
 #include "serve/session.hpp"
 
-#include <algorithm>
+#include <bit>
 #include <exception>
 #include <utility>
 
 #include "coloring/recolor.hpp"
 #include "coloring/refine.hpp"
+#include "graph/analysis.hpp"
 #include "graph/cache.hpp"
 #include "graph/matrix_market.hpp"
 #include "graph/mutate.hpp"
 #include "graph/suite.hpp"
+#include "support/deadline.hpp"
 
 namespace speckle::serve {
 namespace {
-
-bool is_pow2(std::uint32_t v) { return v != 0 && (v & (v - 1)) == 0; }
-
-bool is_suite_name(const std::string& key) {
-  for (const auto& entry : graph::suite_entries()) {
-    if (entry.name == key) return true;
-  }
-  return false;
-}
-
-/// scheme_from_name without the abort: false on unknown names.
-bool lookup_scheme(const std::string& name, coloring::Scheme* out) {
-  for (coloring::Scheme s : coloring::all_schemes()) {
-    if (name == coloring::scheme_name(s)) {
-      *out = s;
-      return true;
-    }
-  }
-  return false;
-}
 
 std::uint64_t to_model_ns(double model_ms) {
   return static_cast<std::uint64_t>(model_ms * 1e6);
@@ -67,7 +49,7 @@ std::vector<std::uint8_t> Session::handle(
 
 std::vector<std::uint8_t> Session::dispatch(Opcode op,
                                             std::uint32_t request_id,
-                                            WireReader& body) {
+                                            WireReader& body) try {
   switch (op) {
     case Opcode::kLoad: return do_load(request_id, body);
     case Opcode::kColor: return do_color(request_id, body);
@@ -76,6 +58,8 @@ std::vector<std::uint8_t> Session::dispatch(Opcode op,
     case Opcode::kStats: return do_stats(request_id, body);
   }
   return make_error(Status::kInternal, request_id, "unreachable opcode");
+} catch (const support::DeadlineExceeded&) {
+  return make_error(Status::kTimeout, request_id, "request deadline expired");
 }
 
 Session::GraphState* Session::find_graph(std::uint32_t handle) {
@@ -96,12 +80,14 @@ std::vector<std::uint8_t> Session::do_load(std::uint32_t request_id,
   if (key.empty()) {
     return make_error(Status::kBadRequest, request_id, "empty graph key");
   }
-  if (!is_pow2(denom)) {
+  if (!graph::valid_suite_denom(denom)) {
     return make_error(Status::kBadRequest, request_id,
-                      "denom must be a power of two");
+                      std::has_single_bit(denom)
+                          ? "denom must be at most 2^19"
+                          : "denom must be a power of two");
   }
 
-  const bool suite = is_suite_name(key);
+  const bool suite = graph::find_suite_entry(key) != nullptr;
   if (suite && seed == 0) {
     return make_error(Status::kBadRequest, request_id,
                       "suite seed 0 is reserved; pass a nonzero seed");
@@ -135,6 +121,7 @@ std::vector<std::uint8_t> Session::do_load(std::uint32_t request_id,
   state.seed = suite ? seed : 0;
   state.device = simt::DeviceConfig::k20c().scaled(denom);
   state.device.host_threads = config_.host_threads;
+  support::check_deadline();
   const std::uint32_t handle = next_handle_++;
   const graph::CsrGraph& g = *state.base;
 
@@ -162,8 +149,8 @@ std::vector<std::uint8_t> Session::do_color(std::uint32_t request_id,
     return make_error(Status::kUnknownGraph, request_id,
                       "no graph with handle " + std::to_string(handle));
   }
-  coloring::Scheme scheme;
-  if (!lookup_scheme(scheme_name, &scheme)) {
+  const auto scheme = coloring::find_scheme(scheme_name);
+  if (!scheme) {
     return make_error(Status::kUnknownScheme, request_id,
                       "unknown scheme '" + scheme_name + "'");
   }
@@ -171,28 +158,29 @@ std::vector<std::uint8_t> Session::do_color(std::uint32_t request_id,
 
   // Session-level cache: an unchanged graph colored with the same scheme
   // replays the stored result instead of re-simulating.
-  const bool cached = state->colored && state->scheme == scheme && !refine;
+  const bool cached = state->colored && state->scheme == *scheme && !refine;
   if (!cached) {
     coloring::RunOptions opts;
     opts.block_size = config_.block_size;
     opts.scale_caches(state->denom);
     opts.device.host_threads = config_.host_threads;
     coloring::RunResult r =
-        coloring::run_scheme(scheme, state->current(), opts);
-    state->colored = true;
-    state->scheme = scheme;
-    state->coloring = std::move(r.coloring);
-    state->num_colors = r.num_colors;
-    state->color_iterations = r.iterations;
-    state->color_model_ns = to_model_ns(r.model_ms);
+        coloring::run_scheme(*scheme, state->current(), opts);
     if (refine) {
       coloring::RefineOptions ro;
       ro.rounds = config_.refine_rounds > 0 ? config_.refine_rounds : 4;
       coloring::RefineResult rr = coloring::iterated_greedy(
-          state->current(), std::move(state->coloring), ro);
-      state->coloring = std::move(rr.coloring);
-      state->num_colors = rr.colors_after;
+          state->current(), std::move(r.coloring), ro);
+      r.coloring = std::move(rr.coloring);
+      r.num_colors = rr.colors_after;
     }
+    support::check_deadline();
+    state->colored = true;
+    state->scheme = *scheme;
+    state->coloring = std::move(r.coloring);
+    state->num_colors = r.num_colors;
+    state->color_iterations = r.iterations;
+    state->color_model_ns = to_model_ns(r.model_ms);
   }
 
   WireWriter resp;
@@ -243,22 +231,11 @@ std::vector<std::uint8_t> Session::do_query(std::uint32_t request_id,
       break;
     }
     case QueryWhat::kGraphStats: {
-      const graph::CsrGraph& g = state->current();
-      std::uint64_t min_deg = 0;
-      std::uint64_t max_deg = 0;
-      const graph::vid_t n = g.num_vertices();
-      if (n > 0) {
-        min_deg = ~std::uint64_t{0};
-        for (graph::vid_t v = 0; v < n; ++v) {
-          const std::uint64_t deg = g.degree(v);
-          min_deg = std::min(min_deg, deg);
-          max_deg = std::max(max_deg, deg);
-        }
-      }
-      resp.u64(n);
-      resp.u64(g.num_edges());
-      resp.u64(min_deg);
-      resp.u64(max_deg);
+      const graph::DegreeReport d = graph::analyze_degrees(state->current());
+      resp.u64(d.num_vertices);
+      resp.u64(d.num_edges);
+      resp.u64(d.min_degree);
+      resp.u64(d.max_degree);
       break;
     }
     default:
@@ -308,12 +285,9 @@ std::vector<std::uint8_t> Session::do_mutate(std::uint32_t request_id,
 
   graph::MutationOutcome outcome =
       graph::apply_mutations(state->current(), batch);
-  stats_.mutations_applied += outcome.applied;
 
   std::uint32_t dirty_size = 0;
-  std::uint8_t mode = 0;
-  std::uint32_t iterations = 0;
-  std::uint64_t model_ns = 0;
+  coloring::RecolorResult r;  // all zero while the graph is uncolored
   if (state->colored) {
     const std::vector<graph::vid_t> dirty =
         coloring::dirty_from_inserts(state->coloring, outcome.inserted);
@@ -324,16 +298,14 @@ std::vector<std::uint8_t> Session::do_mutate(std::uint32_t request_id,
     opts.device = state->device;
     opts.full_threshold = config_.full_threshold;
     opts.refine_rounds = config_.refine_rounds;
-    coloring::RecolorResult r = coloring::recolor_region(
-        outcome.graph, state->coloring, dirty, opts);
+    r = coloring::recolor_region(outcome.graph, state->coloring, dirty, opts);
+  }
+  support::check_deadline();
+  stats_.mutations_applied += outcome.applied;
+  std::uint8_t mode = 0;
+  if (state->colored) {
     mode = r.full ? 2 : 1;
-    if (r.full) {
-      ++stats_.full_recolors;
-    } else {
-      ++stats_.incremental_recolors;
-    }
-    iterations = r.iterations;
-    model_ns = to_model_ns(r.model_ms);
+    ++(r.full ? stats_.full_recolors : stats_.incremental_recolors);
     state->coloring = std::move(r.coloring);
     state->num_colors = r.num_colors;
   }
@@ -345,8 +317,8 @@ std::vector<std::uint8_t> Session::do_mutate(std::uint32_t request_id,
   resp.u32(dirty_size);
   resp.u8(mode);
   resp.u32(state->num_colors);
-  resp.u32(iterations);
-  resp.u64(model_ns);
+  resp.u32(r.iterations);
+  resp.u64(to_model_ns(r.model_ms));
   return make_response(Status::kOk, request_id, resp.bytes());
 }
 

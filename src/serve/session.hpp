@@ -17,8 +17,12 @@
 /// Every response carries only simulated/model quantities — never wall
 /// clock — so a trace replay is bit-identical at any --threads count.
 ///
+/// handle() runs under the caller's support::ScopedDeadline: every launch
+/// and each handler's pre-commit point check it, so a `timeout` reply
+/// (counted in STATS errors) left the session untouched.
+///
 /// Every input that would trip a SPECKLE_CHECK abort deeper in the library
-/// (unknown scheme or suite name, non-power-of-two denom, seed 0, vertex
+/// (unknown scheme or suite name, invalid suite denom, seed 0, vertex
 /// out of range) is pre-validated here and turned into a typed error
 /// response: a client can never abort the server.
 
@@ -64,11 +68,11 @@ class Session {
       : registry_(registry), config_(std::move(config)) {}
 
   /// Decode one request payload, execute it, return the response payload
-  /// (no frame prefix). Total: never throws, never aborts.
+  /// (no frame prefix). Total: never throws (a passed deadline is a
+  /// kTimeout response), never aborts.
   std::vector<std::uint8_t> handle(std::span<const std::uint8_t> payload);
 
   const ServeStats& stats() const { return stats_; }
-  std::size_t num_handles() const { return graphs_.size(); }
 
  private:
   /// Per-handle state. `base` is the immutable registry graph; the first

@@ -6,6 +6,7 @@
 
 #include "simt/worklist.hpp"
 #include "support/check.hpp"
+#include "support/deadline.hpp"
 #include "support/threadpool.hpp"
 
 namespace speckle::simt {
@@ -350,6 +351,7 @@ bool Device::commit_block(const LaunchConfig& cfg, const std::vector<Kernel>& ph
 const KernelStats& Device::run_grid(const LaunchConfig& cfg, const std::string& name,
                                     const std::vector<Kernel>& phases,
                                     const check::KernelSpec* spec) {
+  support::check_deadline();
   SPECKLE_CHECK(cfg.grid_blocks >= 1, "kernel launched with an empty grid");
   memory_.begin_kernel();
   ensure_executor();

@@ -64,6 +64,7 @@ class Device {
   /// Launch a barrier-free kernel over grid_blocks x block_threads threads.
   /// The returned reference lives in the report's kernel vector and is
   /// invalidated by the next launch — copy it if it must outlive one.
+  /// Throws support::DeadlineExceeded, before any block runs, past a deadline.
   const KernelStats& launch(const LaunchConfig& cfg, const std::string& name,
                             const Kernel& body);
 

@@ -1,6 +1,7 @@
 #include "support/options.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 
 #include "support/check.hpp"
@@ -67,8 +68,12 @@ bool Options::has(const std::string& key) const { return values_.count(key) != 0
 void Options::validate(const std::vector<std::string>& known) const {
   for (const auto& [key, value] : values_) {
     (void)value;
-    bool ok = std::find(known.begin(), known.end(), key) != known.end();
-    SPECKLE_CHECK(ok, "unknown option --" + key);
+    if (std::find(known.begin(), known.end(), key) != known.end()) continue;
+    std::string accepted;
+    for (const std::string& k : known) accepted += " --" + k;
+    std::fprintf(stderr, "unknown option --%s; accepted:%s\n", key.c_str(),
+                 accepted.c_str());
+    std::exit(2);
   }
 }
 

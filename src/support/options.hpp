@@ -28,8 +28,8 @@ class Options {
   bool has(const std::string& key) const;
   const std::vector<std::string>& positional() const { return positional_; }
 
-  /// Abort with a message listing the offending keys if any parsed key is
-  /// not in `known`. Call after all getters so help text can list defaults.
+  /// If any parsed key is not in `known`, print it and the accepted keys to
+  /// stderr and exit(2). Call after all getters.
   void validate(const std::vector<std::string>& known) const;
 
  private:

@@ -37,6 +37,20 @@ TEST(SuiteDeathTest, NonPowerOfTwoDenomAborts) {
   EXPECT_DEATH(make_suite_graph("rmat-er", 3), "power of two");
 }
 
+TEST(Suite, ValidDenomsArePowersOfTwoUpTo2To19) {
+  EXPECT_FALSE(valid_suite_denom(0));
+  EXPECT_TRUE(valid_suite_denom(1));
+  EXPECT_FALSE(valid_suite_denom(3));
+  EXPECT_TRUE(valid_suite_denom(1U << 19));
+  EXPECT_FALSE(valid_suite_denom(1U << 20));
+}
+
+TEST(SuiteDeathTest, DenomPast2To19Aborts) {
+  // At 2^20 rmat-er and Hamrle3 would drop below 2 vertices.
+  EXPECT_DEATH(suite_generator_spec("rmat-er", 1U << 20, 7), "power of two");
+  EXPECT_DEATH(suite_generator_spec("Hamrle3", 1U << 20, 7), "power of two");
+}
+
 TEST(Suite, Deterministic) {
   const CsrGraph a = make_suite_graph("rmat-er", 128);
   const CsrGraph b = make_suite_graph("rmat-er", 128);

@@ -1,7 +1,8 @@
 // Session/server semantics: the request lifecycle keeps colorings proper
 // across mutation batches, replay is bit-identical at any simulator thread
 // count, the registry generates each graph exactly once under concurrent
-// LOAD, and a per-request timeout fails the request — never the server.
+// LOAD, and a per-request deadline fails the request — never the server —
+// leaving the session as it was.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include "serve/registry.hpp"
 #include "serve/server.hpp"
 #include "serve/session.hpp"
+#include "support/deadline.hpp"
 
 namespace speckle::serve {
 namespace {
@@ -96,6 +98,51 @@ class OkBody {
   std::vector<std::uint8_t> bytes_;
   WireReader reader_;
 };
+
+/// The message of an error response.
+std::string error_message(const std::vector<std::uint8_t>& response) {
+  WireReader r(response);
+  r.u8();
+  r.u32();
+  return r.str();
+}
+
+/// The STATS fields the deadline tests check.
+struct StatsView {
+  std::uint64_t errors = 0;
+  std::uint64_t mutations = 0;
+  std::uint32_t handles = 0;
+};
+
+StatsView read_stats(std::vector<std::uint8_t> response) {
+  OkBody body(std::move(response));
+  StatsView s;
+  body.r().u64();  // requests
+  s.errors = body.r().u64();
+  for (int i = 0; i < 5 + 4; ++i) body.r().u64();  // per-opcode .. recolors
+  s.mutations = body.r().u64();
+  s.handles = body.r().u32();
+  return s;
+}
+
+/// Split a MemoryStream's output into its response payloads.
+std::vector<std::vector<std::uint8_t>> split_frames(
+    const std::vector<std::uint8_t>& bytes) {
+  std::vector<std::vector<std::uint8_t>> payloads;
+  std::size_t pos = 0;
+  while (pos + kFramePrefixBytes <= bytes.size()) {
+    const std::uint32_t len = static_cast<std::uint32_t>(bytes[pos]) |
+                              (static_cast<std::uint32_t>(bytes[pos + 1]) << 8) |
+                              (static_cast<std::uint32_t>(bytes[pos + 2]) << 16) |
+                              (static_cast<std::uint32_t>(bytes[pos + 3]) << 24);
+    pos += kFramePrefixBytes;
+    EXPECT_LE(pos + len, bytes.size());
+    if (pos + len > bytes.size()) break;
+    payloads.emplace_back(bytes.begin() + pos, bytes.begin() + pos + len);
+    pos += len;
+  }
+  return payloads;
+}
 
 /// Read the full coloring back one QUERY at a time.
 coloring::Coloring query_coloring(Session& session, std::uint32_t handle,
@@ -246,32 +293,83 @@ TEST(ServeSession, FailedGenerationEvictsAndRetries) {
 }
 
 TEST(ServeSession, TimeoutFailsTheRequestNotTheServer) {
+  // Generating a denom-16 twin takes far longer than 1 ms; LOAD checks the
+  // deadline before it commits the handle, STATS never does.
   ServerOptions opts;
-  opts.timeout_ms = 20;
-  opts.test_delay_ms = 150;
+  opts.timeout_ms = 1;
   Server server(opts);
   MemoryStream stream;
-  stream.feed(make_frame(make_request(Opcode::kStats, 1)));
+  stream.feed(make_frame(load_req(1, kGraph, 16, kSeed)));
   stream.feed(make_frame(make_request(Opcode::kStats, 2)));
   EXPECT_EQ(server.serve_stream(stream), 2u)
       << "the connection must survive a timed-out request";
 
-  // Both requests timed out, both got typed responses with their ids.
-  std::size_t pos = 0;
-  int seen = 0;
-  const auto& bytes = stream.output();
-  while (pos + kFramePrefixBytes <= bytes.size()) {
-    const std::uint32_t len = static_cast<std::uint32_t>(bytes[pos]) |
-                              (static_cast<std::uint32_t>(bytes[pos + 1]) << 8) |
-                              (static_cast<std::uint32_t>(bytes[pos + 2]) << 16) |
-                              (static_cast<std::uint32_t>(bytes[pos + 3]) << 24);
-    pos += kFramePrefixBytes;
-    ASSERT_LE(pos + len, bytes.size());
-    EXPECT_EQ(static_cast<Status>(bytes[pos]), Status::kTimeout);
-    ++seen;
-    pos += len;
+  const auto responses = split_frames(stream.output());
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(status_of(responses[0]), Status::kTimeout);
+  const StatsView stats = read_stats(responses[1]);
+  EXPECT_EQ(stats.errors, 1u) << "a timeout is an error";
+  EXPECT_EQ(stats.handles, 0u) << "a timed-out LOAD must not add a handle";
+}
+
+TEST(ServeSession, ColorPastDeadlineLeavesGraphUncolored) {
+  GraphRegistry registry;
+  Session session(registry, SessionConfig{});
+  OkBody load(session.handle(load_req(1, kGraph, kDenom, kSeed)));
+  const std::uint32_t handle = load.r().u32();
+  {
+    const support::ScopedDeadline expired(support::DeadlineClock::time_point{});
+    EXPECT_EQ(status_of(session.handle(color_req(2, handle, "D-ldg"))),
+              Status::kTimeout);
   }
-  EXPECT_EQ(seen, 2);
+  const auto query = session.handle(query_req(3, handle, QueryWhat::kNumColors));
+  EXPECT_EQ(status_of(query), Status::kBadRequest);
+  EXPECT_EQ(error_message(query), "graph not colored yet");
+}
+
+TEST(ServeSession, MutatePastDeadlineLeavesGraphUnchanged) {
+  GraphRegistry registry;
+  Session session(registry, SessionConfig{});
+  OkBody load(session.handle(load_req(1, kGraph, kDenom, kSeed)));
+  const std::uint32_t handle = load.r().u32();
+  const auto n = static_cast<graph::vid_t>(load.r().u64());
+  const std::uint64_t m = load.r().u64();
+  const std::vector<graph::EdgeMutation> batch = {
+      {graph::EdgeMutation::Kind::kInsert, 0, n / 2},
+      {graph::EdgeMutation::Kind::kInsert, 1, n / 2 + 1}};
+  {
+    const support::ScopedDeadline expired(support::DeadlineClock::time_point{});
+    EXPECT_EQ(status_of(session.handle(mutate_req(2, handle, batch))),
+              Status::kTimeout);
+  }
+  EXPECT_EQ(read_stats(session.handle(make_request(Opcode::kStats, 3))).mutations,
+            0u);
+  OkBody gstats(session.handle(query_req(4, handle, QueryWhat::kGraphStats)));
+  gstats.r().u64();
+  EXPECT_EQ(gstats.r().u64(), m);
+
+  // Unarmed, the same batch does apply: the timeout really withheld it.
+  OkBody applied(session.handle(mutate_req(5, handle, batch)));
+  EXPECT_EQ(applied.r().u32(), 2u);
+}
+
+TEST(ServeSession, OversizedDenomIsABadRequestNotAnAbort) {
+  Server server(ServerOptions{});
+  MemoryStream stream;
+  std::uint32_t id = 0;
+  for (const char* key : {"rmat-er", "Hamrle3"}) {
+    for (const std::uint32_t denom : {1U << 20, 1U << 21}) {
+      stream.feed(make_frame(load_req(++id, key, denom, 7)));
+    }
+  }
+  stream.feed(make_frame(make_request(Opcode::kStats, ++id)));
+  EXPECT_EQ(server.serve_stream(stream), 5u);
+  const auto responses = split_frames(stream.output());
+  ASSERT_EQ(responses.size(), 5u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(status_of(responses[i]), Status::kBadRequest) << "LOAD " << i;
+  }
+  EXPECT_EQ(read_stats(responses[4]).errors, 4u);
 }
 
 TEST(ServeSession, ShutdownDrainsWithTypedRefusal) {

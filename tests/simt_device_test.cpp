@@ -8,6 +8,7 @@
 
 #include "simt/device.hpp"
 #include "simt/worklist.hpp"
+#include "support/deadline.hpp"
 
 namespace {
 
@@ -305,6 +306,21 @@ TEST(Device, LaunchOverheadAppearsInTinyKernels) {
   const auto& stats = dev.launch({.grid_blocks = 1, .block_threads = 32}, "tiny",
                                  [&](Thread& t) { t.st(buf, t.lane(), 0U); });
   EXPECT_GE(stats.cycles, dev.config().us_to_cycles(dev.config().kernel_launch_us));
+}
+
+TEST(Device, ExpiredDeadlineThrowsBeforeAnyBlockRuns) {
+  Device dev;
+  auto buf = dev.alloc<std::uint32_t>(32);
+  for (std::uint32_t i = 0; i < 32; ++i) buf[i] = 7;
+  {
+    const speckle::support::ScopedDeadline expired(
+        speckle::support::DeadlineClock::time_point{});
+    EXPECT_THROW(dev.launch({.grid_blocks = 1, .block_threads = 32}, "late",
+                            [&](Thread& t) { t.st(buf, t.lane(), 0U); }),
+                 speckle::support::DeadlineExceeded);
+  }
+  EXPECT_TRUE(dev.report().kernels.empty());
+  for (std::uint32_t i = 0; i < 32; ++i) EXPECT_EQ(buf[i], 7U);
 }
 
 TEST(DeviceDeathTest, EmptyGridAborts) {

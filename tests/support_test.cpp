@@ -1,11 +1,14 @@
-// Unit tests for the support substrate: RNG, statistics, tables, options.
+// Unit tests for the support substrate: RNG, statistics, tables, options,
+// deadlines.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <set>
 #include <sstream>
 
+#include "support/deadline.hpp"
 #include "support/options.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -197,10 +200,36 @@ TEST(OptionsDeathTest, RejectsUnknownKeyOnValidate) {
   EXPECT_DEATH(opts.validate({"n"}), "unknown option");
 }
 
+TEST(OptionsDeathTest, UnknownKeyExitsTwoListingAccepted) {
+  const char* argv[] = {"prog", "--help"};
+  Options opts(2, const_cast<char**>(argv));
+  EXPECT_EXIT(opts.validate({"n", "rate"}), ::testing::ExitedWithCode(2),
+              "unknown option --help; accepted: --n --rate");
+}
+
 TEST(OptionsDeathTest, RejectsNonIntegerValue) {
   const char* argv[] = {"prog", "--n=abc"};
   Options opts(2, const_cast<char**>(argv));
   EXPECT_DEATH(opts.get_int("n", 0), "expects an integer");
+}
+
+TEST(Deadline, UnarmedCheckNeverThrows) {
+  EXPECT_NO_THROW(check_deadline());
+  const ScopedDeadline off(std::chrono::milliseconds(0));
+  EXPECT_NO_THROW(check_deadline());
+}
+
+TEST(Deadline, ExpiredDeadlineThrows) {
+  const ScopedDeadline expired(DeadlineClock::time_point{});
+  EXPECT_THROW(check_deadline(), DeadlineExceeded);
+}
+
+TEST(Deadline, LeavingTheScopeDisarms) {
+  {
+    const ScopedDeadline expired(DeadlineClock::now());
+    EXPECT_THROW(check_deadline(), DeadlineExceeded);
+  }
+  EXPECT_NO_THROW(check_deadline());
 }
 
 }  // namespace

@@ -7,8 +7,9 @@
 //   speckle_serve --unix=/tmp/speckle.sock     # unix-domain listener
 //   speckle_serve --port=7461                  # TCP listener on 127.0.0.1
 //
-// SIGINT/SIGTERM drain in-flight requests and exit 0. --timeout-ms fails
-// individual requests that exceed the deadline; the server survives.
+// SIGINT/SIGTERM drain in-flight requests and exit 0. A request past
+// --timeout-ms stops at its next launch or session commit and answers
+// `timeout` with no effect on the session; the server survives.
 
 #include <cstdio>
 #include <string>
@@ -37,11 +38,9 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(opts.get_int("timeout-ms", 0));
   server_opts.accept_threads =
       static_cast<std::uint32_t>(opts.get_int("pool", 4));
-  server_opts.test_delay_ms =
-      static_cast<std::uint32_t>(opts.get_int("test-delay-ms", 0));
   opts.validate({"stdio", "unix", "port", "block-size", "threads",
                  "refine-rounds", "full-threshold", "graph-cache",
-                 "timeout-ms", "pool", "test-delay-ms"});
+                 "timeout-ms", "pool"});
 
   if ((stdio ? 1 : 0) + (unix_path.empty() ? 0 : 1) + (port != 0 ? 1 : 0) >
       1) {
