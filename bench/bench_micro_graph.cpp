@@ -5,10 +5,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "coloring/ordering.hpp"
 #include "coloring/seq_greedy.hpp"
 #include "graph/builder.hpp"
-#include "graph/generators.hpp"
+#include "graph/genspec.hpp"
 
 namespace {
 
@@ -16,11 +18,21 @@ using namespace speckle;
 using graph::build_csr;
 using graph::CsrGraph;
 
+/// The edges of a genspec string on the serial schedule.
+graph::EdgeList spec_edges(const std::string& text) {
+  return graph::generate_edges_serial(graph::parse_generator_spec(text, 1));
+}
+
+/// R-MAT over 2^scale vertices with 8 edge draws per vertex.
+std::string rmat_spec(std::uint32_t scale) {
+  return "rmat:scale=" + std::to_string(scale) + ",deg=16";
+}
+
 void BM_RmatGenerate(benchmark::State& state) {
   const auto scale = static_cast<std::uint32_t>(state.range(0));
   const std::uint64_t edges = (1ULL << scale) * 8;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::rmat(scale, edges, graph::RmatParams{}, 1));
+    benchmark::DoNotOptimize(spec_edges(rmat_spec(scale)));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(edges));
@@ -29,7 +41,7 @@ BENCHMARK(BM_RmatGenerate)->Arg(12)->Arg(14)->Arg(16);
 
 void BM_CsrBuild(benchmark::State& state) {
   const auto scale = static_cast<std::uint32_t>(state.range(0));
-  const auto edges = graph::rmat(scale, (1ULL << scale) * 8, graph::RmatParams{}, 1);
+  const auto edges = spec_edges(rmat_spec(scale));
   for (auto _ : state) {
     benchmark::DoNotOptimize(build_csr(1u << scale, graph::EdgeList(edges)));
   }
@@ -39,18 +51,16 @@ void BM_CsrBuild(benchmark::State& state) {
 BENCHMARK(BM_CsrBuild)->Arg(12)->Arg(14)->Arg(16);
 
 void BM_Stencil3d(benchmark::State& state) {
-  const auto d = static_cast<graph::vid_t>(state.range(0));
+  const std::string d = std::to_string(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::stencil3d(d, d, d));
+    benchmark::DoNotOptimize(spec_edges("grid3d:nx=" + d + ",ny=" + d + ",nz=" + d));
   }
 }
 BENCHMARK(BM_Stencil3d)->Arg(16)->Arg(32)->Arg(48);
 
 void BM_SeqGreedyWallClock(benchmark::State& state) {
   const auto scale = static_cast<std::uint32_t>(state.range(0));
-  const CsrGraph g =
-      build_csr(1u << scale, graph::rmat(scale, (1ULL << scale) * 8,
-                                         graph::RmatParams{}, 1));
+  const CsrGraph g = build_csr(1u << scale, spec_edges(rmat_spec(scale)));
   coloring::SeqOptions opts;
   opts.charge_model = false;  // pure wall-clock measurement
   for (auto _ : state) {
@@ -62,8 +72,7 @@ void BM_SeqGreedyWallClock(benchmark::State& state) {
 BENCHMARK(BM_SeqGreedyWallClock)->Arg(12)->Arg(14)->Arg(16);
 
 void BM_OrderingHeuristics(benchmark::State& state) {
-  const CsrGraph g =
-      build_csr(1u << 14, graph::rmat(14, (1ULL << 14) * 8, graph::RmatParams{}, 1));
+  const CsrGraph g = build_csr(1u << 14, spec_edges(rmat_spec(14)));
   const auto ordering = static_cast<coloring::Ordering>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(coloring::make_order(g, ordering, 1));

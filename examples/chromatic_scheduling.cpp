@@ -17,11 +17,12 @@
 
 #include <cmath>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "coloring/runner.hpp"
 #include "graph/builder.hpp"
-#include "graph/generators.hpp"
+#include "graph/genspec.hpp"
 #include "support/check.hpp"
 #include "support/options.hpp"
 #include "support/timer.hpp"
@@ -65,7 +66,10 @@ int main(int argc, char** argv) {
   const std::string scheme_name = opts.get_string("scheme", "D-ldg");
   opts.validate({"n", "sweeps", "scheme"});
 
-  const CsrGraph g = graph::build_csr(n * n, graph::stencil2d(n, n));
+  const std::string side = std::to_string(n);
+  const CsrGraph g = graph::build_csr(
+      n * n, graph::generate_edges_serial(graph::parse_generator_spec(
+                 "grid2d:nx=" + side + ",ny=" + side, 1)));
   std::cout << "grid " << n << "x" << n << ": " << g.num_vertices()
             << " unknowns, " << g.num_edges() << " couplings\n";
 

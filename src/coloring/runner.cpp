@@ -105,13 +105,7 @@ RunResult run_scheme(Scheme s, const graph::CsrGraph& g, const RunOptions& opts)
     mo.max_rounds = opts.max_iterations;
     mo.seed = opts.seed;
     mo.device = opts.device;
-    multidev::MultiDevResult r = multidev::multidev_color(g, mo);
-    static_cast<GpuResult&>(result) = std::move(r);
-    result.devices = std::move(r.devices);
-    result.cut_edges = r.cut_edges;
-    result.exchanged_colors = r.exchanged_colors;
-    result.exchange_rounds = std::move(r.exchange_rounds);
-    result.hidden_ms = r.hidden_ms;
+    static_cast<multidev::MultiDevResult&>(result) = multidev::multidev_color(g, mo);
     const VerifyResult verify = verify_coloring(g, result.coloring);
     SPECKLE_CHECK(verify.proper, std::string(scheme_name(s)) +
                                      " (multi-device) produced an improper "

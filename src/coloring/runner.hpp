@@ -72,22 +72,13 @@ struct RunOptions {
 /// One scheme's result. The GpuResult base carries what every scheme
 /// reports: for CPU schemes `report`, `san`, `prof` and `check` stay empty
 /// and `model_ms` is the CPU model's time (0 for the host-measured JP-cpu
-/// and GM-omp), `wall_ms` the host wall clock.
-struct RunResult : GpuResult {
+/// and GM-omp), `wall_ms` the host wall clock. The MultiDevResult fields
+/// (devices, cut_edges, exchanged_colors, exchange_rounds, hidden_ms) are
+/// filled on multi-device runs (RunOptions::num_devices > 1) only, and the
+/// base fields then hold the fleet-level merged views (kernel names carry
+/// the "d<k>." device prefix).
+struct RunResult : multidev::MultiDevResult {
   Scheme scheme;
-
-  // --- multi-device runs only (RunOptions::num_devices > 1) ---------------
-  /// Per-device breakdowns, in device order. Empty on single-device runs;
-  /// the base fields then hold the fleet-level merged views (kernel names
-  /// carry the "d<k>." device prefix).
-  std::vector<multidev::DeviceBreakdown> devices;
-  std::uint64_t cut_edges = 0;         ///< directed cut of the partition
-  std::uint64_t exchanged_colors = 0;  ///< ghost updates shipped over D2D
-  /// Per-round exchange batches (count/bytes/hidden/stall) and the fleet
-  /// total of exchange cycles the compute overlap hid, in milliseconds.
-  /// Empty/zero on single-device runs.
-  std::vector<prof::ExchangeRound> exchange_rounds;
-  double hidden_ms = 0.0;
 };
 
 /// Run one scheme on one graph. Aborts if the scheme produced an improper

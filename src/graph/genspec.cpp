@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstddef>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -62,57 +63,6 @@ std::uint32_t log2_exact(std::uint64_t n, const char* what) {
   return l;
 }
 
-// ---------------------------------------------------------------------------
-// Barabási–Albert, communication-free (Batagelj–Brandes slot resolution;
-// the scheme KaGen's barabassi.h parallelizes with). Edge slot i belongs to
-// vertex i/attach; its target is found by repeatedly re-drawing earlier
-// slots' uniform picks from a stateless hash until an even endpoint-array
-// position — a source slot, whose vertex is just index arithmetic — is hit.
-// ---------------------------------------------------------------------------
-
-/// Uniform in [0, 2*slot + 1), stateless per (seed, slot).
-std::uint64_t ba_draw(std::uint64_t seed, std::uint64_t slot) {
-  const std::uint64_t x = mix64(seed ^ mix64(slot + 0xba5eba11ULL));
-  const unsigned __int128 wide =
-      static_cast<unsigned __int128>(x) * (2 * slot + 1);
-  return static_cast<std::uint64_t>(wide >> 64);
-}
-
-vid_t ba_resolve(std::uint64_t seed, std::uint32_t attach, std::uint64_t slot) {
-  std::uint64_t r = ba_draw(seed, slot);
-  while (r & 1) r = ba_draw(seed, (r - 1) / 2);  // odd = a target slot: recurse
-  return static_cast<vid_t>((r / 2) / attach);   // even = a source slot
-}
-
-// ---------------------------------------------------------------------------
-// Shared defect-edge draw (grids): the sharded twin of add_local_defects —
-// each chunk owns a vertex range and draws its share from its own stream.
-// ---------------------------------------------------------------------------
-
-void add_defects_chunk(EdgeList& out, Xoshiro256& rng, std::uint64_t v_lo,
-                       std::uint64_t v_hi, std::uint64_t num_vertices,
-                       double rate, std::uint32_t window) {
-  // Telescoping share: sums to llround(rate * n) across all chunks.
-  const auto lo_count = static_cast<std::uint64_t>(std::llround(rate * static_cast<double>(v_lo)));
-  const auto hi_count = static_cast<std::uint64_t>(std::llround(rate * static_cast<double>(v_hi)));
-  for (std::uint64_t i = lo_count; i < hi_count; ++i) {
-    const auto v = static_cast<vid_t>(v_lo + rng.next_below(v_hi - v_lo));
-    std::int64_t offset = rng.next_range(1, window);
-    if (rng.next_bool(0.5)) offset = -offset;
-    const std::int64_t w = static_cast<std::int64_t>(v) + offset;
-    if (w < 0 || w >= static_cast<std::int64_t>(num_vertices) ||
-        w == static_cast<std::int64_t>(v)) {
-      continue;  // falls off the vertex range; skip rather than wrap
-    }
-    out.push_back({v, static_cast<vid_t>(w)});
-  }
-}
-
-/// Unit-interval coordinate from a stateless hash (rgg2d point clouds).
-double unit_coord(std::uint64_t seed, std::uint64_t index) {
-  return static_cast<double>(mix64(seed + index) >> 11) * 0x1.0p-53;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -164,9 +114,24 @@ std::uint64_t parse_size(const std::string& value, const std::string& key) {
   } catch (...) {
     used = 0;
   }
-  SPECKLE_CHECK(used == digits.size() && !digits.empty(),
+  // stoull would also take a sign or leading blanks ("-1" wraps to 2^64-1).
+  SPECKLE_CHECK(used == digits.size() && !digits.empty() &&
+                    std::isdigit(static_cast<unsigned char>(digits.front())),
                 "malformed value '" + value + "' for spec key '" + key + "'");
+  SPECKLE_CHECK(parsed <= std::numeric_limits<std::uint64_t>::max() / mult,
+                "value '" + value + "' for spec key '" + key +
+                    "' overflows 64 bits");
   return parsed * mult;
+}
+
+/// parse_size for the 32-bit fields (grid dimensions, attach, window,
+/// degree range).
+std::uint32_t parse_u32(const std::string& value, const std::string& key) {
+  const std::uint64_t parsed = parse_size(value, key);
+  SPECKLE_CHECK(parsed <= std::numeric_limits<std::uint32_t>::max(),
+                "value '" + value + "' for spec key '" + key +
+                    "' overflows 32 bits");
+  return static_cast<std::uint32_t>(parsed);
 }
 
 double parse_real(const std::string& value, const std::string& key) {
@@ -221,23 +186,23 @@ GeneratorSpec parse_generator_spec(const std::string& text,
       } else if (key == "noise") {
         spec.quadrants.noise = parse_real(value, key);
       } else if (key == "attach") {
-        spec.attach = static_cast<std::uint32_t>(parse_size(value, key));
+        spec.attach = parse_u32(value, key);
       } else if (key == "radius") {
         spec.radius = parse_real(value, key);
       } else if (key == "nx") {
-        spec.nx = static_cast<std::uint32_t>(parse_size(value, key));
+        spec.nx = parse_u32(value, key);
       } else if (key == "ny") {
-        spec.ny = static_cast<std::uint32_t>(parse_size(value, key));
+        spec.ny = parse_u32(value, key);
       } else if (key == "nz") {
-        spec.nz = static_cast<std::uint32_t>(parse_size(value, key));
+        spec.nz = parse_u32(value, key);
       } else if (key == "defects") {
         spec.defects = parse_real(value, key);
       } else if (key == "window") {
-        spec.window = static_cast<std::uint32_t>(parse_size(value, key));
+        spec.window = parse_u32(value, key);
       } else if (key == "deglo") {
-        spec.deg_lo = static_cast<std::uint32_t>(parse_size(value, key));
+        spec.deg_lo = parse_u32(value, key);
       } else if (key == "deghi") {
-        spec.deg_hi = static_cast<std::uint32_t>(parse_size(value, key));
+        spec.deg_hi = parse_u32(value, key);
       } else if (key == "seed") {
         spec.seed = parse_size(value, key);
       } else {
@@ -312,8 +277,10 @@ GeneratorSpec normalized(GeneratorSpec spec) {
             std::cbrt(static_cast<double>(spec.num_vertices))));
         spec.nx = spec.ny = spec.nz = std::max(2u, side);
       }
-      spec.num_vertices =
-          static_cast<std::uint64_t>(spec.nx) * spec.ny * spec.nz;
+      const std::uint64_t plane = static_cast<std::uint64_t>(spec.nx) * spec.ny;
+      SPECKLE_CHECK(plane <= std::numeric_limits<std::uint64_t>::max() / spec.nz,
+                    "grid3d nx*ny*nz overflows 64 bits");
+      spec.num_vertices = plane * spec.nz;
       if (spec.defects > 0.0 && spec.window == 0) spec.window = spec.nx;
       break;
     }
@@ -437,264 +404,345 @@ SpecFootprint estimate_footprint(const GeneratorSpec& spec) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded generation
+// Edge drawing: one body per model. A body draws the part [lo, hi) of its
+// model's work range (edge draws, vertices, grid rows/planes or point-cell
+// rows) into `out`. The two RNG schedules below run the same bodies; they
+// differ only in how they cut the range and seed `rng`.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-void rmat_chunks(const GeneratorSpec& spec, std::vector<EdgeList>& shards,
-                 support::ThreadPool& pool) {
+/// One R-MAT endpoint pair: `scale` recursion levels over the quadrant
+/// probabilities, each level jittered by ±noise/2 and renormalized, as the
+/// reference generator does to break self-similarity.
+Edge rmat_edge(Xoshiro256& rng, std::uint32_t scale, const RmatParams& params) {
+  vid_t src = 0;
+  vid_t dst = 0;
+  double a = params.a, b = params.b, c = params.c, d = params.d;
+  for (std::uint32_t level = 0; level < scale; ++level) {
+    const double r = rng.next_double();
+    src <<= 1;
+    dst <<= 1;
+    if (r < a) {
+      // top-left quadrant: no bits set
+    } else if (r < a + b) {
+      dst |= 1;
+    } else if (r < a + b + c) {
+      src |= 1;
+    } else {
+      src |= 1;
+      dst |= 1;
+    }
+    if (params.noise > 0.0) {
+      auto jitter = [&](double p) {
+        return p * (1.0 - params.noise / 2.0 + params.noise * rng.next_double());
+      };
+      a = jitter(a);
+      b = jitter(b);
+      c = jitter(c);
+      d = jitter(d);
+      const double total = a + b + c + d;
+      a /= total;
+      b /= total;
+      c /= total;
+      d /= total;
+    }
+  }
+  return {src, dst};
+}
+
+void draw_rmat(const GeneratorSpec& spec, Xoshiro256& rng, std::uint64_t lo,
+               std::uint64_t hi, EdgeList& out) {
   const std::uint32_t scale = log2_exact(spec.num_vertices, "rmat/kron");
-  RmatParams params = spec.quadrants;
-  if (spec.model == GenModel::kKronecker) params.noise = 0.0;
-  const std::uint64_t chunks = chunks_for(spec.num_edges, kEdgeGrain);
-  shards.resize(chunks);
-  pool.parallel_for_deterministic(chunks, [&](std::size_t c, unsigned) {
-    const auto [lo, hi] = chunk_range(spec.num_edges, chunks, c);
-    Xoshiro256 rng = chunk_rng(spec.seed, 0x41, c);
-    EdgeList& out = shards[c];
-    out.reserve(hi - lo);
-    for (std::uint64_t i = lo; i < hi; ++i) {
-      out.push_back(rmat_edge(rng, scale, params));
-    }
-  });
+  const RmatParams params = spec.quadrants;
+  out.reserve(hi - lo);
+  for (std::uint64_t i = lo; i < hi; ++i) {
+    out.push_back(rmat_edge(rng, scale, params));
+  }
 }
 
-void er_chunks(const GeneratorSpec& spec, std::vector<EdgeList>& shards,
-               support::ThreadPool& pool) {
+void draw_er(const GeneratorSpec& spec, Xoshiro256& rng, std::uint64_t lo,
+             std::uint64_t hi, EdgeList& out) {
   const std::uint64_t n = spec.num_vertices;
-  const std::uint64_t chunks = chunks_for(spec.num_edges, kEdgeGrain);
-  shards.resize(chunks);
-  pool.parallel_for_deterministic(chunks, [&](std::size_t c, unsigned) {
-    const auto [lo, hi] = chunk_range(spec.num_edges, chunks, c);
-    Xoshiro256 rng = chunk_rng(spec.seed, 0x45, c);
-    EdgeList& out = shards[c];
-    out.reserve(hi - lo);
-    for (std::uint64_t i = lo; i < hi; ++i) {
-      const auto src = static_cast<vid_t>(rng.next_below(n));
-      auto dst = static_cast<vid_t>(rng.next_below(n));
-      while (dst == src) dst = static_cast<vid_t>(rng.next_below(n));
-      out.push_back({src, dst});
-    }
-  });
+  out.reserve(hi - lo);
+  for (std::uint64_t i = lo; i < hi; ++i) {
+    const auto src = static_cast<vid_t>(rng.next_below(n));
+    auto dst = static_cast<vid_t>(rng.next_below(n));
+    while (dst == src) dst = static_cast<vid_t>(rng.next_below(n));
+    out.push_back({src, dst});
+  }
 }
 
-void ba_chunks(const GeneratorSpec& spec, std::vector<EdgeList>& shards,
-               support::ThreadPool& pool) {
-  const std::uint64_t n = spec.num_vertices;
+// Barabási–Albert, communication-free (Batagelj–Brandes slot resolution;
+// the scheme KaGen's barabassi.h parallelizes with). Edge slot i belongs
+// to vertex i/attach; its target is found by repeatedly re-drawing earlier
+// slots' uniform picks from a stateless hash until an even endpoint-array
+// position — a source slot, whose vertex is just index arithmetic — is
+// hit. Stateless, so it needs no rng.
+
+/// Uniform in [0, 2*slot + 1), stateless per (seed, slot).
+std::uint64_t ba_draw(std::uint64_t seed, std::uint64_t slot) {
+  const std::uint64_t x = mix64(seed ^ mix64(slot + 0xba5eba11ULL));
+  const unsigned __int128 wide =
+      static_cast<unsigned __int128>(x) * (2 * slot + 1);
+  return static_cast<std::uint64_t>(wide >> 64);
+}
+
+void draw_ba(const GeneratorSpec& spec, std::uint64_t lo, std::uint64_t hi,
+             EdgeList& out) {
   const std::uint32_t attach = spec.attach;
-  const std::uint64_t chunks = chunks_for(n, kVertexGrain);
-  shards.resize(chunks);
-  pool.parallel_for_deterministic(chunks, [&](std::size_t c, unsigned) {
-    const auto [lo, hi] = chunk_range(n, chunks, c);
-    EdgeList& out = shards[c];
-    out.reserve((hi - lo) * attach);
-    for (std::uint64_t v = lo; v < hi; ++v) {
-      for (std::uint32_t k = 0; k < attach; ++k) {
-        const std::uint64_t slot = v * attach + k;
-        const vid_t w = ba_resolve(spec.seed, attach, slot);
-        if (w != static_cast<vid_t>(v)) out.push_back({static_cast<vid_t>(v), w});
-      }
+  out.reserve((hi - lo) * attach);
+  for (std::uint64_t v = lo; v < hi; ++v) {
+    for (std::uint32_t k = 0; k < attach; ++k) {
+      std::uint64_t r = ba_draw(spec.seed, v * attach + k);
+      while (r & 1) r = ba_draw(spec.seed, (r - 1) / 2);  // odd = a target slot
+      const auto w = static_cast<vid_t>((r / 2) / attach);  // even = a source slot
+      if (w != static_cast<vid_t>(v)) out.push_back({static_cast<vid_t>(v), w});
     }
-  });
+  }
 }
 
-void localrand_chunks(const GeneratorSpec& spec, std::vector<EdgeList>& shards,
-                      support::ThreadPool& pool) {
-  const std::uint64_t n = spec.num_vertices;
-  const std::uint64_t chunks = chunks_for(n, kVertexGrain);
-  shards.resize(chunks);
-  pool.parallel_for_deterministic(chunks, [&](std::size_t c, unsigned) {
-    const auto [lo, hi] = chunk_range(n, chunks, c);
-    Xoshiro256 rng = chunk_rng(spec.seed, 0x4c, c);
-    EdgeList& out = shards[c];
-    out.reserve((hi - lo) * (spec.deg_lo + spec.deg_hi) / 2);
-    for (std::uint64_t v = lo; v < hi; ++v) {
-      const auto target =
-          static_cast<vid_t>(rng.next_range(spec.deg_lo, spec.deg_hi));
-      for (vid_t j = 0; j < target; ++j) {
-        std::int64_t offset = rng.next_range(1, spec.window);
-        if (rng.next_bool(0.5)) offset = -offset;
-        const std::int64_t w = static_cast<std::int64_t>(v) + offset;
-        if (w < 0 || w >= static_cast<std::int64_t>(n)) continue;
-        out.push_back({static_cast<vid_t>(v), static_cast<vid_t>(w)});
-      }
+void draw_localrand(const GeneratorSpec& spec, Xoshiro256& rng, std::uint64_t lo,
+                    std::uint64_t hi, EdgeList& out) {
+  const auto n = static_cast<std::int64_t>(spec.num_vertices);
+  const std::uint32_t deg_lo = spec.deg_lo, deg_hi = spec.deg_hi;
+  const std::uint32_t window = spec.window;
+  out.reserve((hi - lo) * (deg_lo + deg_hi) / 2);
+  for (std::uint64_t v = lo; v < hi; ++v) {
+    const auto target = static_cast<vid_t>(rng.next_range(deg_lo, deg_hi));
+    for (vid_t j = 0; j < target; ++j) {
+      std::int64_t offset = rng.next_range(1, window);
+      if (rng.next_bool(0.5)) offset = -offset;
+      const std::int64_t w = static_cast<std::int64_t>(v) + offset;
+      if (w < 0 || w >= n) continue;
+      out.push_back({static_cast<vid_t>(v), static_cast<vid_t>(w)});
     }
-  });
+  }
 }
 
-void grid2d_chunks(const GeneratorSpec& spec, std::vector<EdgeList>& shards,
-                   support::ThreadPool& pool) {
+/// `count` local "defect" edges from uniform vertices in [v_lo, v_hi) to a
+/// vertex within ±window; an endpoint off the vertex range is skipped
+/// rather than wrapped. Roughens the stencils into FEM/circuit-like degree
+/// distributions.
+void draw_defects(const GeneratorSpec& spec, Xoshiro256& rng, std::uint64_t v_lo,
+                  std::uint64_t v_hi, std::uint64_t count, EdgeList& out) {
+  const auto n = static_cast<std::int64_t>(spec.num_vertices);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const auto v = static_cast<vid_t>(v_lo + rng.next_below(v_hi - v_lo));
+    std::int64_t offset = rng.next_range(1, spec.window);
+    if (rng.next_bool(0.5)) offset = -offset;
+    const std::int64_t w = static_cast<std::int64_t>(v) + offset;
+    if (w < 0 || w >= n || w == static_cast<std::int64_t>(v)) continue;
+    out.push_back({v, static_cast<vid_t>(w)});
+  }
+}
+
+/// 5-point stencil rows [y_lo, y_hi), then `defects` defect edges.
+void draw_grid2d(const GeneratorSpec& spec, Xoshiro256& rng, std::uint64_t y_lo,
+                 std::uint64_t y_hi, std::uint64_t defects, EdgeList& out) {
   const std::uint64_t nx = spec.nx, ny = spec.ny;
-  const std::uint64_t n = nx * ny;
-  const std::uint64_t chunks =
-      chunks_for(ny, std::max<std::uint64_t>(1, kVertexGrain / nx));
-  shards.resize(chunks);
-  pool.parallel_for_deterministic(chunks, [&](std::size_t c, unsigned) {
-    const auto [y_lo, y_hi] = chunk_range(ny, chunks, c);
-    EdgeList& out = shards[c];
-    out.reserve((y_hi - y_lo) * nx * 2);
-    auto id = [nx](std::uint64_t x, std::uint64_t y) {
-      return static_cast<vid_t>(y * nx + x);
-    };
-    for (std::uint64_t y = y_lo; y < y_hi; ++y) {
-      for (std::uint64_t x = 0; x < nx; ++x) {
-        if (x + 1 < nx) out.push_back({id(x, y), id(x + 1, y)});
-        if (y + 1 < ny) out.push_back({id(x, y), id(x, y + 1)});
-      }
+  out.reserve((y_hi - y_lo) * nx * 2 + defects);
+  auto id = [nx](std::uint64_t x, std::uint64_t y) {
+    return static_cast<vid_t>(y * nx + x);
+  };
+  for (std::uint64_t y = y_lo; y < y_hi; ++y) {
+    for (std::uint64_t x = 0; x < nx; ++x) {
+      if (x + 1 < nx) out.push_back({id(x, y), id(x + 1, y)});
+      if (y + 1 < ny) out.push_back({id(x, y), id(x, y + 1)});
     }
-    if (spec.defects > 0.0) {
-      Xoshiro256 rng = chunk_rng(spec.seed, 0x32, c);
-      add_defects_chunk(out, rng, y_lo * nx, y_hi * nx, n, spec.defects,
-                        spec.window);
-    }
-  });
+  }
+  draw_defects(spec, rng, y_lo * nx, y_hi * nx, defects, out);
 }
 
-void grid3d_chunks(const GeneratorSpec& spec, std::vector<EdgeList>& shards,
-                   support::ThreadPool& pool) {
+/// 7-point stencil planes [z_lo, z_hi), then `defects` defect edges.
+void draw_grid3d(const GeneratorSpec& spec, Xoshiro256& rng, std::uint64_t z_lo,
+                 std::uint64_t z_hi, std::uint64_t defects, EdgeList& out) {
   const std::uint64_t nx = spec.nx, ny = spec.ny, nz = spec.nz;
-  const std::uint64_t n = nx * ny * nz;
-  const std::uint64_t chunks =
-      chunks_for(nz, std::max<std::uint64_t>(1, kVertexGrain / (nx * ny)));
-  shards.resize(chunks);
-  pool.parallel_for_deterministic(chunks, [&](std::size_t c, unsigned) {
-    const auto [z_lo, z_hi] = chunk_range(nz, chunks, c);
-    EdgeList& out = shards[c];
-    out.reserve((z_hi - z_lo) * nx * ny * 3);
-    auto id = [nx, ny](std::uint64_t x, std::uint64_t y, std::uint64_t z) {
-      return static_cast<vid_t>((z * ny + y) * nx + x);
-    };
-    for (std::uint64_t z = z_lo; z < z_hi; ++z) {
-      for (std::uint64_t y = 0; y < ny; ++y) {
-        for (std::uint64_t x = 0; x < nx; ++x) {
-          if (x + 1 < nx) out.push_back({id(x, y, z), id(x + 1, y, z)});
-          if (y + 1 < ny) out.push_back({id(x, y, z), id(x, y + 1, z)});
-          if (z + 1 < nz) out.push_back({id(x, y, z), id(x, y, z + 1)});
-        }
+  out.reserve((z_hi - z_lo) * nx * ny * 3 + defects);
+  auto id = [nx, ny](std::uint64_t x, std::uint64_t y, std::uint64_t z) {
+    return static_cast<vid_t>((z * ny + y) * nx + x);
+  };
+  for (std::uint64_t z = z_lo; z < z_hi; ++z) {
+    for (std::uint64_t y = 0; y < ny; ++y) {
+      for (std::uint64_t x = 0; x < nx; ++x) {
+        if (x + 1 < nx) out.push_back({id(x, y, z), id(x + 1, y, z)});
+        if (y + 1 < ny) out.push_back({id(x, y, z), id(x, y + 1, z)});
+        if (z + 1 < nz) out.push_back({id(x, y, z), id(x, y, z + 1)});
       }
     }
-    if (spec.defects > 0.0) {
-      Xoshiro256 rng = chunk_rng(spec.seed, 0x33, c);
-      add_defects_chunk(out, rng, z_lo * nx * ny, z_hi * nx * ny, n,
-                        spec.defects, spec.window);
-    }
-  });
+  }
+  draw_defects(spec, rng, z_lo * nx * ny, z_hi * nx * ny, defects, out);
 }
 
-void rgg2d_chunks(const GeneratorSpec& spec, std::vector<EdgeList>& shards,
-                  support::ThreadPool& pool) {
-  const std::uint64_t n = spec.num_vertices;
-  const double radius = spec.radius;
+/// Unit-interval coordinate from a stateless hash (rgg2d point clouds).
+double unit_coord(std::uint64_t seed, std::uint64_t index) {
+  return static_cast<double>(mix64(seed + index) >> 11) * 0x1.0p-53;
+}
 
-  // Stateless point cloud: any chunk could recompute any vertex's
-  // coordinates, but materializing them once is cheaper than re-hashing
-  // per distance test.
-  std::vector<double> xs(n), ys(n);
+/// rgg2d's point cloud, bucketed into radius-sized cells. Coordinates come
+/// from unit_coord, so the cloud needs no rng.
+struct PointCells {
+  double radius = 0.0;
+  std::uint64_t cells = 0;  ///< cells per side
+  std::vector<double> xs, ys;
+  std::vector<eid_t> cell_start;  ///< CSR-style offsets into cell_points
+  std::vector<vid_t> cell_points;
+};
+
+std::uint64_t cells_per_side(double radius) {
+  return static_cast<std::uint64_t>(std::ceil(1.0 / radius));
+}
+
+PointCells bucket_points(const GeneratorSpec& spec, support::ThreadPool& pool) {
+  const std::uint64_t n = spec.num_vertices;
+  PointCells pc;
+  pc.radius = spec.radius;
+  pc.cells = cells_per_side(spec.radius);
+  pc.xs.resize(n);
+  pc.ys.resize(n);
   const std::uint64_t coord_chunks = chunks_for(n, kVertexGrain);
   pool.parallel_for_deterministic(coord_chunks, [&](std::size_t c, unsigned) {
     const auto [lo, hi] = chunk_range(n, coord_chunks, c);
     for (std::uint64_t v = lo; v < hi; ++v) {
-      xs[v] = unit_coord(spec.seed, 2 * v + 1);
-      ys[v] = unit_coord(spec.seed, 2 * v + 2);
+      pc.xs[v] = unit_coord(spec.seed, 2 * v + 1);
+      pc.ys[v] = unit_coord(spec.seed, 2 * v + 2);
     }
   });
-
-  // Bucket points into radius-sized cells (two serial counting-sort
-  // passes, ascending v, so the per-cell lists are canonical).
-  const auto cells = static_cast<std::uint64_t>(std::ceil(1.0 / radius));
+  // Two serial counting-sort passes, ascending v, so the per-cell lists
+  // are canonical.
   auto cell_of = [&](std::uint64_t v) {
     const auto cx = std::min<std::uint64_t>(
-        static_cast<std::uint64_t>(xs[v] / radius), cells - 1);
+        static_cast<std::uint64_t>(pc.xs[v] / pc.radius), pc.cells - 1);
     const auto cy = std::min<std::uint64_t>(
-        static_cast<std::uint64_t>(ys[v] / radius), cells - 1);
-    return cy * cells + cx;
+        static_cast<std::uint64_t>(pc.ys[v] / pc.radius), pc.cells - 1);
+    return cy * pc.cells + cx;
   };
-  std::vector<eid_t> cell_start(cells * cells + 1, 0);
-  for (std::uint64_t v = 0; v < n; ++v) ++cell_start[cell_of(v) + 1];
-  for (std::size_t i = 1; i < cell_start.size(); ++i) {
-    cell_start[i] += cell_start[i - 1];
+  pc.cell_start.assign(pc.cells * pc.cells + 1, 0);
+  for (std::uint64_t v = 0; v < n; ++v) ++pc.cell_start[cell_of(v) + 1];
+  for (std::size_t i = 1; i < pc.cell_start.size(); ++i) {
+    pc.cell_start[i] += pc.cell_start[i - 1];
   }
-  std::vector<vid_t> cell_points(n);
-  {
-    std::vector<eid_t> cursor(cell_start.begin(), cell_start.end() - 1);
-    for (std::uint64_t v = 0; v < n; ++v) {
-      cell_points[cursor[cell_of(v)]++] = static_cast<vid_t>(v);
-    }
+  pc.cell_points.resize(n);
+  std::vector<eid_t> cursor(pc.cell_start.begin(), pc.cell_start.end() - 1);
+  for (std::uint64_t v = 0; v < n; ++v) {
+    pc.cell_points[cursor[cell_of(v)]++] = static_cast<vid_t>(v);
   }
+  return pc;
+}
 
-  // Parallel over cell-row bands; each vertex scans its 3x3 neighborhood
-  // and emits pairs (v, w) with w > v once.
-  const std::uint64_t chunks = chunks_for(cells, 1);
-  shards.resize(chunks);
-  const double r2 = radius * radius;
-  pool.parallel_for_deterministic(chunks, [&](std::size_t c, unsigned) {
-    const auto [cy_lo, cy_hi] = chunk_range(cells, chunks, c);
-    EdgeList& out = shards[c];
-    for (std::uint64_t cy = cy_lo; cy < cy_hi; ++cy) {
-      for (std::uint64_t cx = 0; cx < cells; ++cx) {
-        const std::uint64_t cell = cy * cells + cx;
-        for (eid_t i = cell_start[cell]; i < cell_start[cell + 1]; ++i) {
-          const vid_t v = cell_points[i];
-          for (int dy = -1; dy <= 1; ++dy) {
-            for (int dx = -1; dx <= 1; ++dx) {
-              const std::int64_t ncx = static_cast<std::int64_t>(cx) + dx;
-              const std::int64_t ncy = static_cast<std::int64_t>(cy) + dy;
-              if (ncx < 0 || ncy < 0 ||
-                  ncx >= static_cast<std::int64_t>(cells) ||
-                  ncy >= static_cast<std::int64_t>(cells)) {
-                continue;
-              }
-              const std::uint64_t ncell =
-                  static_cast<std::uint64_t>(ncy) * cells +
-                  static_cast<std::uint64_t>(ncx);
-              for (eid_t j = cell_start[ncell]; j < cell_start[ncell + 1];
-                   ++j) {
-                const vid_t w = cell_points[j];
-                if (w <= v) continue;  // emit each pair once
-                const double ddx = xs[v] - xs[w];
-                const double ddy = ys[v] - ys[w];
-                if (ddx * ddx + ddy * ddy <= r2) out.push_back({v, w});
-              }
+/// Cell rows [cy_lo, cy_hi): each vertex scans its 3x3 cell neighborhood
+/// and emits each pair (v, w), w > v, within the radius once.
+void draw_rgg2d(const PointCells& pc, std::uint64_t cy_lo, std::uint64_t cy_hi,
+                EdgeList& out) {
+  const auto cells = static_cast<std::int64_t>(pc.cells);
+  const double r2 = pc.radius * pc.radius;
+  for (std::int64_t cy = static_cast<std::int64_t>(cy_lo);
+       cy < static_cast<std::int64_t>(cy_hi); ++cy) {
+    for (std::int64_t cx = 0; cx < cells; ++cx) {
+      const std::int64_t cell = cy * cells + cx;
+      for (eid_t i = pc.cell_start[cell]; i < pc.cell_start[cell + 1]; ++i) {
+        const vid_t v = pc.cell_points[i];
+        for (std::int64_t ncy = cy - 1; ncy <= cy + 1; ++ncy) {
+          for (std::int64_t ncx = cx - 1; ncx <= cx + 1; ++ncx) {
+            if (ncx < 0 || ncy < 0 || ncx >= cells || ncy >= cells) continue;
+            const std::int64_t ncell = ncy * cells + ncx;
+            for (eid_t j = pc.cell_start[ncell]; j < pc.cell_start[ncell + 1]; ++j) {
+              const vid_t w = pc.cell_points[j];
+              if (w <= v) continue;  // emit each pair once
+              const double ddx = pc.xs[v] - pc.xs[w];
+              const double ddy = pc.ys[v] - pc.ys[w];
+              if (ddx * ddx + ddy * ddy <= r2) out.push_back({v, w});
             }
           }
         }
       }
     }
+  }
+}
+
+/// A model's work range, and how the sharded schedule cuts and seeds it.
+struct WorkRange {
+  std::uint64_t items = 0;          ///< size of the range a body iterates
+  std::uint64_t grain = 1;          ///< items per sharded chunk
+  std::uint64_t salt = 0;           ///< chunk_rng salt
+  std::uint64_t item_vertices = 0;  ///< grids: vertices per row/plane
+};
+
+WorkRange work_range(const GeneratorSpec& spec) {
+  const std::uint64_t nx = spec.nx, ny = spec.ny;
+  switch (spec.model) {
+    case GenModel::kRmat:
+    case GenModel::kKronecker:
+      return {spec.num_edges, kEdgeGrain, 0x41, 0};
+    case GenModel::kErdosRenyi:
+      return {spec.num_edges, kEdgeGrain, 0x45, 0};
+    case GenModel::kBarabasiAlbert:
+      return {spec.num_vertices, kVertexGrain, 0, 0};
+    case GenModel::kLocalRandom:
+      return {spec.num_vertices, kVertexGrain, 0x4c, 0};
+    case GenModel::kGeometric2d:
+      return {cells_per_side(spec.radius), 1, 0, 0};
+    case GenModel::kGrid2d:
+      return {ny, std::max<std::uint64_t>(1, kVertexGrain / nx), 0x32, nx};
+    case GenModel::kGrid3d:
+      return {spec.nz, std::max<std::uint64_t>(1, kVertexGrain / (nx * ny)), 0x33,
+              nx * ny};
+  }
+  SPECKLE_UNREACHABLE("bad GenModel");
+}
+
+/// The two RNG schedules over the same bodies.
+enum class Schedule {
+  /// generate_shards: the fixed chunk plan, chunk_rng per chunk, and a
+  /// telescoping llround(rate * v) defect share that sums to
+  /// llround(rate * n) over all chunks.
+  kSharded,
+  /// generate_edges_serial: one chunk over the whole range, one
+  /// Xoshiro256(seed) stream, and trunc(rate * n) defects — the suite's
+  /// historical streams.
+  kSerial,
+};
+
+std::vector<EdgeList> draw_shards(const GeneratorSpec& spec, support::ThreadPool& pool,
+                                  Schedule schedule) {
+  const WorkRange range = work_range(spec);
+  const bool serial = schedule == Schedule::kSerial;
+  const std::uint64_t chunks = serial ? 1 : chunks_for(range.items, range.grain);
+  const PointCells points = spec.model == GenModel::kGeometric2d
+                                ? bucket_points(spec, pool)
+                                : PointCells{};
+  const double rate = spec.defects > 0.0 ? spec.defects : 0.0;
+  auto share = [&](std::uint64_t item) {
+    return static_cast<std::uint64_t>(
+        std::llround(rate * static_cast<double>(item * range.item_vertices)));
+  };
+  std::vector<EdgeList> shards(chunks);
+  pool.parallel_for_deterministic(chunks, [&](std::size_t c, unsigned) {
+    const auto [lo, hi] = chunk_range(range.items, chunks, c);
+    Xoshiro256 rng = serial ? Xoshiro256(spec.seed) : chunk_rng(spec.seed, range.salt, c);
+    const std::uint64_t defects =
+        serial ? static_cast<std::uint64_t>(rate * static_cast<double>(spec.num_vertices))
+               : share(hi) - share(lo);
+    EdgeList& out = shards[c];
+    switch (spec.model) {
+      case GenModel::kRmat:
+      case GenModel::kKronecker: draw_rmat(spec, rng, lo, hi, out); break;
+      case GenModel::kErdosRenyi: draw_er(spec, rng, lo, hi, out); break;
+      case GenModel::kBarabasiAlbert: draw_ba(spec, lo, hi, out); break;
+      case GenModel::kLocalRandom: draw_localrand(spec, rng, lo, hi, out); break;
+      case GenModel::kGeometric2d: draw_rgg2d(points, lo, hi, out); break;
+      case GenModel::kGrid2d: draw_grid2d(spec, rng, lo, hi, defects, out); break;
+      case GenModel::kGrid3d: draw_grid3d(spec, rng, lo, hi, defects, out); break;
+    }
   });
+  return shards;
 }
 
 }  // namespace
 
 std::vector<EdgeList> generate_shards(const GeneratorSpec& raw,
                                       support::ThreadPool& pool) {
-  const GeneratorSpec spec = normalized(raw);
-  std::vector<EdgeList> shards;
-  switch (spec.model) {
-    case GenModel::kRmat:
-    case GenModel::kKronecker:
-      rmat_chunks(spec, shards, pool);
-      break;
-    case GenModel::kErdosRenyi:
-      er_chunks(spec, shards, pool);
-      break;
-    case GenModel::kBarabasiAlbert:
-      ba_chunks(spec, shards, pool);
-      break;
-    case GenModel::kLocalRandom:
-      localrand_chunks(spec, shards, pool);
-      break;
-    case GenModel::kGrid2d:
-      grid2d_chunks(spec, shards, pool);
-      break;
-    case GenModel::kGrid3d:
-      grid3d_chunks(spec, shards, pool);
-      break;
-    case GenModel::kGeometric2d:
-      rgg2d_chunks(spec, shards, pool);
-      break;
-  }
-  return shards;
+  return draw_shards(normalized(raw), pool, Schedule::kSharded);
 }
 
 CsrGraph generate_graph(const GeneratorSpec& raw, support::ThreadPool& pool) {
@@ -719,42 +767,8 @@ CsrGraph generate_graph_cached(const GeneratorSpec& raw,
 }
 
 EdgeList generate_edges_serial(const GeneratorSpec& raw) {
-  const GeneratorSpec spec = normalized(raw);
-  switch (spec.model) {
-    case GenModel::kRmat:
-      return rmat(log2_exact(spec.num_vertices, "rmat"), spec.num_edges,
-                  spec.quadrants, spec.seed);
-    case GenModel::kGrid2d: {
-      EdgeList edges = stencil2d(spec.nx, spec.ny);
-      if (spec.defects > 0.0) {
-        add_local_defects(edges, static_cast<vid_t>(spec.num_vertices),
-                          spec.defects, spec.window, spec.seed);
-      }
-      return edges;
-    }
-    case GenModel::kGrid3d: {
-      EdgeList edges = stencil3d(spec.nx, spec.ny, spec.nz);
-      if (spec.defects > 0.0) {
-        add_local_defects(edges, static_cast<vid_t>(spec.num_vertices),
-                          spec.defects, spec.window, spec.seed);
-      }
-      return edges;
-    }
-    case GenModel::kLocalRandom:
-      return local_random(static_cast<vid_t>(spec.num_vertices), spec.deg_lo,
-                          spec.deg_hi, spec.window, spec.seed);
-    case GenModel::kKronecker:
-    case GenModel::kBarabasiAlbert:
-    case GenModel::kGeometric2d:
-    case GenModel::kErdosRenyi:
-      break;
-  }
-  SPECKLE_CHECK(false, std::string("generate_edges_serial covers only the "
-                                   "suite's models (rmat, grid2d, grid3d, "
-                                   "localrand); '") +
-                           gen_model_name(spec.model) +
-                           "' generates through generate_graph");
-  return {};
+  support::ThreadPool inline_pool(1);  // no workers: the one chunk runs here
+  return std::move(draw_shards(normalized(raw), inline_pool, Schedule::kSerial).front());
 }
 
 }  // namespace speckle::graph

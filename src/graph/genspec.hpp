@@ -9,21 +9,22 @@
 /// one from the command line, and bench_huge sweeps a family of them at
 /// the 10^8-edge tier.
 ///
-/// Two generation paths share the spec:
+/// Each model's edge drawing exists once (genspec.cpp): a body that draws
+/// one part [lo, hi) of the model's work range from a Xoshiro256 passed
+/// by reference. Two RNG schedules run those bodies:
 ///
-///  * generate_edges_serial(spec) — the legacy single-stream generators
-///    (generators.hpp), for the suite's four models only (rmat, grid2d,
-///    grid3d, localrand). This is the byte-stability path: the Table I
-///    suite graphs have always been generated through these exact RNG
-///    streams, and every checked-in golden depends on their bytes.
+///  * generate_shards(spec, pool) / generate_graph — KaGen-style sharded
+///    generation: a fixed, thread-count-independent chunk plan, one
+///    hash-derived RNG per chunk, then the streaming parallel CSR builder
+///    (build_parallel.hpp). Deterministic for a fixed seed at ANY pool
+///    concurrency.
 ///
-///  * generate_graph(spec, pool) — every model: KaGen-style sharded
-///    generation (a fixed, thread-count-independent chunk decomposition;
-///    one hash-derived RNG per chunk) into the streaming parallel CSR
-///    builder (build_parallel.hpp). Deterministic for a fixed seed at ANY
-///    pool concurrency, but a different — equally valid — sample of the
-///    model than the serial path, because the chunk streams are
-///    independent by construction.
+///  * generate_edges_serial(spec) — one chunk over the whole range, one
+///    Xoshiro256(seed) stream. The Table I suite is built this way, and
+///    every checked-in golden depends on these bytes.
+///
+/// For RNG-drawing models the two schedules give different, equally
+/// valid samples of the same distribution.
 ///
 /// Models (KaGen naming, see docs/graphs.md for the parameter table):
 ///   rmat      Chakrabarti et al. recursive quadrants, per-level noise
@@ -42,10 +43,20 @@
 
 #include "graph/builder.hpp"
 #include "graph/csr_graph.hpp"
-#include "graph/generators.hpp"
 #include "support/threadpool.hpp"
 
 namespace speckle::graph {
+
+/// R-MAT quadrant probabilities (must sum to 1) and the per-level noise
+/// that jitters them, as in Chakrabarti et al.'s reference generator, to
+/// avoid perfectly self-similar artifacts.
+struct RmatParams {
+  double a = 0.25;
+  double b = 0.25;
+  double c = 0.25;
+  double d = 0.25;
+  double noise = 0.1;
+};
 
 enum class GenModel : std::uint8_t {
   kRmat,
@@ -112,9 +123,9 @@ struct SpecFootprint {
 };
 SpecFootprint estimate_footprint(const GeneratorSpec& spec);
 
-/// The scale path: sharded generation. The chunk decomposition is a
-/// function of the spec alone, each chunk draws from its own hash-derived
-/// RNG, so the shard contents are independent of the pool's concurrency.
+/// The sharded schedule. The chunk decomposition is a function of the
+/// spec alone and each chunk draws from its own hash-derived RNG, so the
+/// shard contents are independent of the pool's concurrency.
 std::vector<EdgeList> generate_shards(const GeneratorSpec& spec,
                                       support::ThreadPool& pool);
 
@@ -128,11 +139,11 @@ CsrGraph generate_graph_cached(const GeneratorSpec& spec,
                                support::ThreadPool& pool,
                                const std::string& dir);
 
-/// The legacy path: one sequential RNG stream through the classic
-/// generators, exactly as the Table I suite has always drawn them. The
-/// suite's byte-stability (and every checked-in golden) depends on this
-/// mapping never changing. Covers rmat, grid2d, grid3d and localrand;
-/// aborts loudly on any other model (those generate via generate_graph).
+/// The serial schedule: the model's body once over its whole range, drawing
+/// from one Xoshiro256(spec.seed) stream (grids: trunc(defects * n) defect
+/// edges). Every model; runs on the calling thread. The suite's
+/// byte-stability (and every checked-in golden) depends on this mapping
+/// never changing.
 EdgeList generate_edges_serial(const GeneratorSpec& spec);
 
 }  // namespace speckle::graph

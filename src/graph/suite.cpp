@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "graph/builder.hpp"
-#include "graph/generators.hpp"
 #include "support/check.hpp"
 
 namespace speckle::graph {
@@ -103,7 +102,7 @@ GeneratorSpec suite_generator_spec(const std::string& name,
 
 CsrGraph make_suite_graph(const std::string& name, std::uint32_t denom,
                           std::uint64_t seed) {
-  // generate_edges_serial replays exactly the RNG streams the suite has
+  // The serial schedule draws exactly the RNG streams the suite has
   // always drawn (suite_generator_spec carries the historical seed
   // offsets), so this build is byte-identical to every prior release.
   const GeneratorSpec spec = suite_generator_spec(name, denom, seed);

@@ -67,10 +67,9 @@ GeneratorSpec suite_generator_spec(const std::string& name,
 
 /// Build one suite graph. `denom` must pass valid_suite_denom.
 /// Deterministic for a given (name, denom, seed) — and byte-stable across
-/// releases: the suite draws through generate_edges_serial, the legacy
-/// single-stream path every checked-in golden depends on. The suite's four
-/// models (rmat, grid2d, grid3d, localrand) are exactly the ones that
-/// path still covers.
+/// releases: the suite draws its spec on the serial schedule
+/// (generate_edges_serial, one Xoshiro256(seed) stream through the model's
+/// body), which every checked-in golden depends on.
 CsrGraph make_suite_graph(const std::string& name, std::uint32_t denom,
                           std::uint64_t seed = 0x5eed);
 

@@ -6,26 +6,28 @@
 #include "coloring/balance.hpp"
 #include "coloring/seq_greedy.hpp"
 #include "graph/builder.hpp"
-#include "graph/generators.hpp"
+#include "graph_fixtures.hpp"
 
 namespace {
 
 using namespace speckle;
 using namespace speckle::coloring;
 using speckle::testing::IsProperColoring;
+using speckle::testing::ring_lattice;
+using speckle::testing::spec_graph;
 using graph::build_csr;
 using graph::CsrGraph;
 using graph::vid_t;
 
 TEST(Balance, KeepsColoringProper) {
-  const CsrGraph g = build_csr(1000, graph::erdos_renyi(1000, 6000, 3));
+  const CsrGraph g = spec_graph("er:n=1000,edges=6000,seed=3");
   const auto seq = seq_greedy(g, {.charge_model = false});
   const BalanceResult r = balance_colors(g, seq.coloring);
   EXPECT_TRUE(IsProperColoring(g, r.coloring));
 }
 
 TEST(Balance, NeverIncreasesColorCount) {
-  const CsrGraph g = build_csr(800, graph::local_random(800, 1, 6, 50, 8));
+  const CsrGraph g = spec_graph("localrand:n=800,deglo=1,deghi=6,window=50,seed=8");
   const auto seq = seq_greedy(g, {.charge_model = false});
   const BalanceResult r = balance_colors(g, seq.coloring);
   EXPECT_LE(count_colors(r.coloring), seq.num_colors);
@@ -33,7 +35,7 @@ TEST(Balance, NeverIncreasesColorCount) {
 
 TEST(Balance, ImprovesSkewedGreedyColoring) {
   // First-fit loads color 1 heavily; balancing must flatten the histogram.
-  const CsrGraph g = build_csr(2000, graph::erdos_renyi(2000, 8000, 5));
+  const CsrGraph g = spec_graph("er:n=2000,edges=8000,seed=5");
   const auto seq = seq_greedy(g, {.charge_model = false});
   const BalanceResult r = balance_colors(g, seq.coloring);
   EXPECT_GT(r.balance_before, 1.2);  // greedy is skewed on sparse ER
@@ -43,7 +45,7 @@ TEST(Balance, ImprovesSkewedGreedyColoring) {
 
 TEST(Balance, NoOpOnAlreadyBalanced) {
   // A 2-colorable even ring colored alternately is perfectly balanced.
-  const CsrGraph g = build_csr(100, graph::ring_lattice(100, 1));
+  const CsrGraph g = build_csr(100, ring_lattice(100, 1));
   Coloring c(100);
   for (vid_t v = 0; v < 100; ++v) c[v] = 1 + (v % 2);
   const BalanceResult r = balance_colors(g, c);

@@ -7,13 +7,15 @@
 #include "coloring/distance2.hpp"
 #include "graph/bfs.hpp"
 #include "graph/builder.hpp"
-#include "graph/generators.hpp"
+#include "graph_fixtures.hpp"
 
 namespace {
 
 using namespace speckle;
 using namespace speckle::coloring;
 using speckle::testing::IsProperColoring;
+using speckle::testing::ring_lattice;
+using speckle::testing::spec_graph;
 using graph::build_csr;
 using graph::CsrGraph;
 using graph::vid_t;
@@ -46,7 +48,7 @@ TEST(SeqD2, StarNeedsNColors) {
 
 TEST(SeqD2, GridUsesAtLeastFive) {
   // Interior 2D stencil vertices have 4 distance-1 + 4+ distance-2 peers.
-  const CsrGraph g = build_csr(100, graph::stencil2d(10, 10));
+  const CsrGraph g = spec_graph("grid2d:nx=10,ny=10");
   const SeqD2Result r = seq_greedy_d2(g);
   EXPECT_TRUE(verify_coloring_d2(g, r.coloring).proper);
   EXPECT_GE(r.num_colors, 5U);
@@ -61,11 +63,11 @@ struct D2Case {
 // listed test names would change with every address-space layout.
 void PrintTo(const D2Case& c, std::ostream* os) { *os << c.name; }
 
-CsrGraph d2_er() { return build_csr(400, graph::erdos_renyi(400, 1600, 7)); }
-CsrGraph d2_grid() { return build_csr(225, graph::stencil2d(15, 15)); }
-CsrGraph d2_grid3() { return build_csr(343, graph::stencil3d(7, 7, 7)); }
-CsrGraph d2_local() { return build_csr(500, graph::local_random(500, 1, 5, 40, 3)); }
-CsrGraph d2_ring() { return build_csr(301, graph::ring_lattice(301, 2)); }
+CsrGraph d2_er() { return spec_graph("er:n=400,edges=1600,seed=7"); }
+CsrGraph d2_grid() { return spec_graph("grid2d:nx=15,ny=15"); }
+CsrGraph d2_grid3() { return spec_graph("grid3d:nx=7,ny=7,nz=7"); }
+CsrGraph d2_local() { return spec_graph("localrand:n=500,deglo=1,deghi=5,window=40,seed=3"); }
+CsrGraph d2_ring() { return build_csr(301, ring_lattice(301, 2)); }
 
 class GpuD2Sweep : public ::testing::TestWithParam<D2Case> {};
 

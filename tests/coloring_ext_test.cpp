@@ -9,13 +9,15 @@
 #include "coloring/seq_greedy.hpp"
 #include "coloring/warp.hpp"
 #include "graph/builder.hpp"
-#include "graph/generators.hpp"
+#include "graph_fixtures.hpp"
 
 namespace {
 
 using namespace speckle;
 using namespace speckle::coloring;
 using speckle::testing::IsProperColoring;
+using speckle::testing::complete;
+using speckle::testing::spec_graph;
 using graph::build_csr;
 using graph::CsrGraph;
 using graph::vid_t;
@@ -29,18 +31,17 @@ struct GraphCase {
 // listed test names would change with every address-space layout.
 void PrintTo(const GraphCase& c, std::ostream* os) { *os << c.name; }
 
-CsrGraph ext_er() { return build_csr(1500, graph::erdos_renyi(1500, 12000, 7)); }
+CsrGraph ext_er() { return spec_graph("er:n=1500,edges=12000,seed=7"); }
 CsrGraph ext_skew() {
-  return build_csr(1 << 11, graph::rmat(11, 14000,
-                                        graph::RmatParams{0.5, 0.15, 0.15, 0.2, 0.1}, 5));
+  return spec_graph("rmat:scale=11,edges=14000,a=0.5,b=0.15,c=0.15,d=0.2,seed=5");
 }
-CsrGraph ext_grid() { return build_csr(1331, graph::stencil3d(11, 11, 11)); }
+CsrGraph ext_grid() { return spec_graph("grid3d:nx=11,ny=11,nz=11"); }
 CsrGraph ext_star() {
   graph::EdgeList edges;
   for (vid_t v = 1; v < 500; ++v) edges.push_back({0, v});
   return build_csr(500, edges);
 }
-CsrGraph ext_clique() { return build_csr(70, graph::complete(70)); }
+CsrGraph ext_clique() { return build_csr(70, complete(70)); }
 
 class ExtSweep : public ::testing::TestWithParam<std::tuple<GraphCase, Scheme>> {};
 
@@ -129,7 +130,7 @@ TEST(Gm3Step, MoreGpuRoundsLeaveFewerCpuConflicts) {
 
 TEST(Gm3Step, SinglePartitionIsSequentialOnDevice) {
   // One partition = one thread colors everything: no conflicts possible.
-  const CsrGraph g = build_csr(128, graph::erdos_renyi(128, 512, 3));
+  const CsrGraph g = spec_graph("er:n=128,edges=512,seed=3");
   Gm3Options opts;
   opts.partition_size = 128;
   const Gm3Result r = gm3step_color(g, opts);

@@ -11,13 +11,14 @@
 #include "coloring/seq_greedy.hpp"
 #include "coloring/topo.hpp"
 #include "graph/builder.hpp"
-#include "graph/generators.hpp"
+#include "graph_fixtures.hpp"
 
 namespace {
 
 using namespace speckle;
 using namespace speckle::coloring;
 using speckle::testing::IsProperColoring;
+using speckle::testing::spec_graph;
 using graph::build_csr;
 using graph::CsrGraph;
 using graph::vid_t;
@@ -27,15 +28,14 @@ struct GraphCase {
   CsrGraph (*make)();
 };
 
-CsrGraph make_er() { return build_csr(2000, graph::erdos_renyi(2000, 16000, 7)); }
-CsrGraph make_grid2d() { return build_csr(1600, graph::stencil2d(40, 40)); }
-CsrGraph make_grid3d() { return build_csr(1728, graph::stencil3d(12, 12, 12)); }
+CsrGraph make_er() { return spec_graph("er:n=2000,edges=16000,seed=7"); }
+CsrGraph make_grid2d() { return spec_graph("grid2d:nx=40,ny=40"); }
+CsrGraph make_grid3d() { return spec_graph("grid3d:nx=12,ny=12,nz=12"); }
 CsrGraph make_rmat() {
-  return build_csr(1 << 11,
-                   graph::rmat(11, 12000, graph::RmatParams{0.45, 0.15, 0.15, 0.25, 0.1}, 9));
+  return spec_graph("rmat:scale=11,edges=12000,a=0.45,b=0.15,c=0.15,d=0.25,seed=9");
 }
-CsrGraph make_local() { return build_csr(2500, graph::local_random(2500, 1, 7, 100, 4)); }
-CsrGraph make_sparse() { return build_csr(3000, graph::erdos_renyi(3000, 3000, 2)); }
+CsrGraph make_local() { return spec_graph("localrand:n=2500,deglo=1,deghi=7,window=100,seed=4"); }
+CsrGraph make_sparse() { return spec_graph("er:n=3000,edges=3000,seed=2"); }
 CsrGraph make_star() {
   graph::EdgeList edges;
   for (vid_t v = 1; v < 300; ++v) edges.push_back({0, v});

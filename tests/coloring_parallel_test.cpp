@@ -7,13 +7,15 @@
 #include "coloring/jp.hpp"
 #include "coloring/seq_greedy.hpp"
 #include "graph/builder.hpp"
-#include "graph/generators.hpp"
+#include "graph_fixtures.hpp"
 
 namespace {
 
 using namespace speckle;
 using namespace speckle::coloring;
 using speckle::testing::IsProperColoring;
+using speckle::testing::ring_lattice;
+using speckle::testing::spec_graph;
 using graph::build_csr;
 using graph::CsrGraph;
 
@@ -26,13 +28,13 @@ struct GraphCase {
 // listed test names would change with every address-space layout.
 void PrintTo(const GraphCase& c, std::ostream* os) { *os << c.name; }
 
-CsrGraph make_er() { return build_csr(600, graph::erdos_renyi(600, 4200, 7)); }
-CsrGraph make_grid() { return build_csr(400, graph::stencil2d(20, 20)); }
+CsrGraph make_er() { return spec_graph("er:n=600,edges=4200,seed=7"); }
+CsrGraph make_grid() { return spec_graph("grid2d:nx=20,ny=20"); }
 CsrGraph make_rmat() {
-  return build_csr(1 << 10, graph::rmat(10, 6000, graph::RmatParams{0.45, 0.15, 0.15, 0.25, 0.1}, 3));
+  return spec_graph("rmat:scale=10,edges=6000,a=0.45,b=0.15,c=0.15,d=0.25,seed=3");
 }
-CsrGraph make_ring() { return build_csr(501, graph::ring_lattice(501, 2)); }
-CsrGraph make_local() { return build_csr(800, graph::local_random(800, 1, 7, 60, 11)); }
+CsrGraph make_ring() { return build_csr(501, ring_lattice(501, 2)); }
+CsrGraph make_local() { return spec_graph("localrand:n=800,deglo=1,deghi=7,window=60,seed=11"); }
 
 class ParallelCpuSweep : public ::testing::TestWithParam<GraphCase> {};
 

@@ -7,19 +7,21 @@
 #include "coloring/runner.hpp"
 #include "coloring/seq_greedy.hpp"
 #include "graph/builder.hpp"
-#include "graph/generators.hpp"
+#include "graph_fixtures.hpp"
 
 namespace {
 
 using namespace speckle;
 using namespace speckle::coloring;
 using speckle::testing::IsProperColoring;
+using speckle::testing::ring_lattice;
+using speckle::testing::spec_graph;
 using graph::build_csr;
 using graph::CsrGraph;
 using graph::vid_t;
 
 TEST(Refine, NeverIncreasesColorsAndStaysProper) {
-  const CsrGraph g = build_csr(1200, graph::erdos_renyi(1200, 9000, 3));
+  const CsrGraph g = spec_graph("er:n=1200,edges=9000,seed=3");
   const auto seq = seq_greedy(g, {.charge_model = false});
   const RefineResult r = iterated_greedy(g, seq.coloring);
   EXPECT_TRUE(IsProperColoring(g, r.coloring));
@@ -29,7 +31,7 @@ TEST(Refine, NeverIncreasesColorsAndStaysProper) {
 TEST(Refine, ImprovesDeliberatelyBadColoring) {
   // A bipartite graph colored with one color per vertex: refinement must
   // collapse this dramatically (to at most a handful of classes).
-  const CsrGraph g = build_csr(64, graph::stencil2d(8, 8));
+  const CsrGraph g = spec_graph("grid2d:nx=8,ny=8");
   Coloring wasteful(64);
   for (vid_t v = 0; v < 64; ++v) wasteful[v] = v + 1;
   const RefineResult r = iterated_greedy(g, wasteful, {.rounds = 8});
@@ -41,9 +43,7 @@ TEST(Refine, ImprovesDeliberatelyBadColoring) {
 TEST(Refine, RecoversSpeculationLossOnSkewedGraph) {
   // D-base loses a couple of colors to speculation on rmat-g-like graphs;
   // a refinement pass should claw most of that back.
-  const CsrGraph g = build_csr(
-      1 << 11,
-      graph::rmat(11, 14000, graph::RmatParams{0.5, 0.15, 0.15, 0.2, 0.1}, 5));
+  const CsrGraph g = spec_graph("rmat:scale=11,edges=14000,a=0.5,b=0.15,c=0.15,d=0.2,seed=5");
   const RunResult gpu = run_scheme(Scheme::kDataBase, g);
   const auto seq = seq_greedy(g, {.charge_model = false});
   const RefineResult r = iterated_greedy(g, gpu.coloring);
@@ -52,7 +52,7 @@ TEST(Refine, RecoversSpeculationLossOnSkewedGraph) {
 }
 
 TEST(Refine, LargestFirstOrderAlsoValid) {
-  const CsrGraph g = build_csr(800, graph::local_random(800, 1, 6, 60, 9));
+  const CsrGraph g = spec_graph("localrand:n=800,deglo=1,deghi=6,window=60,seed=9");
   const auto seq = seq_greedy(g, {.charge_model = false});
   RefineOptions opts;
   opts.order = ClassOrder::kLargestFirst;
@@ -62,7 +62,7 @@ TEST(Refine, LargestFirstOrderAlsoValid) {
 }
 
 TEST(Refine, StopsEarlyWhenConverged) {
-  const CsrGraph g = build_csr(10, graph::ring_lattice(10, 1));
+  const CsrGraph g = build_csr(10, ring_lattice(10, 1));
   const auto seq = seq_greedy(g, {.charge_model = false});  // already 2 colors
   const RefineResult r = iterated_greedy(g, seq.coloring, {.rounds = 100});
   EXPECT_LE(r.rounds_run, 1U);

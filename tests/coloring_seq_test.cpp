@@ -6,13 +6,16 @@
 #include "coloring/ordering.hpp"
 #include "coloring/seq_greedy.hpp"
 #include "graph/builder.hpp"
-#include "graph/generators.hpp"
+#include "graph_fixtures.hpp"
 
 namespace {
 
 using namespace speckle;
 using namespace speckle::coloring;
 using speckle::testing::IsProperColoring;
+using speckle::testing::complete;
+using speckle::testing::ring_lattice;
+using speckle::testing::spec_graph;
 using graph::build_csr;
 using graph::CsrGraph;
 using graph::vid_t;
@@ -47,22 +50,22 @@ TEST(SeqGreedy, TriangleNeedsThreeColors) {
 }
 
 TEST(SeqGreedy, BipartiteStencilUsesTwoColors) {
-  const CsrGraph g = build_csr(100, graph::stencil2d(10, 10));
+  const CsrGraph g = spec_graph("grid2d:nx=10,ny=10");
   const SeqResult r = seq_greedy(g);
   EXPECT_TRUE(IsProperColoring(g, r.coloring));
   EXPECT_EQ(r.num_colors, 2U);
 }
 
 TEST(SeqGreedy, CompleteGraphNeedsN) {
-  const CsrGraph g = build_csr(7, graph::complete(7));
+  const CsrGraph g = build_csr(7, complete(7));
   const SeqResult r = seq_greedy(g);
   EXPECT_EQ(r.num_colors, 7U);
 }
 
 TEST(SeqGreedy, EvenRingTwoColorsOddRingThree) {
-  const CsrGraph even = build_csr(10, graph::ring_lattice(10, 1));
+  const CsrGraph even = build_csr(10, ring_lattice(10, 1));
   EXPECT_EQ(seq_greedy(even).num_colors, 2U);
-  const CsrGraph odd = build_csr(11, graph::ring_lattice(11, 1));
+  const CsrGraph odd = build_csr(11, ring_lattice(11, 1));
   EXPECT_EQ(seq_greedy(odd).num_colors, 3U);
 }
 
@@ -74,14 +77,14 @@ TEST(SeqGreedy, IsolatedVerticesGetColorOne) {
 }
 
 TEST(SeqGreedy, BoundedByMaxDegreePlusOne) {
-  const CsrGraph g = build_csr(500, graph::erdos_renyi(500, 3000, 9));
+  const CsrGraph g = spec_graph("er:n=500,edges=3000,seed=9");
   const SeqResult r = seq_greedy(g);
   EXPECT_TRUE(IsProperColoring(g, r.coloring));
   EXPECT_LE(r.num_colors, g.max_degree() + 1);
 }
 
 TEST(SeqGreedy, ModelChargesCycles) {
-  const CsrGraph g = build_csr(200, graph::erdos_renyi(200, 1000, 2));
+  const CsrGraph g = spec_graph("er:n=200,edges=1000,seed=2");
   SeqOptions opts;
   const SeqResult charged = seq_greedy(g, opts);
   EXPECT_GT(charged.model_ms, 0.0);
@@ -113,7 +116,7 @@ TEST(FirstFitColor, WidensBeyond64Colors) {
 class OrderingSweep : public ::testing::TestWithParam<Ordering> {};
 
 TEST_P(OrderingSweep, AllOrderingsProduceProperColorings) {
-  const CsrGraph g = build_csr(400, graph::erdos_renyi(400, 2400, 17));
+  const CsrGraph g = spec_graph("er:n=400,edges=2400,seed=17");
   SeqOptions opts;
   opts.ordering = GetParam();
   opts.charge_model = false;
@@ -132,9 +135,7 @@ INSTANTIATE_TEST_SUITE_P(AllOrderings, OrderingSweep,
 TEST(Ordering, SmallestLastBeatsFirstFitOnSkewedGraph) {
   // Smallest-last colors a graph within degeneracy+1. A crown-like graph
   // where first-fit by natural order is poor: classic ordering-quality gap.
-  const CsrGraph g = build_csr(
-      1 << 11,
-      graph::rmat(11, 12000, graph::RmatParams{0.55, 0.15, 0.15, 0.15, 0.1}, 3));
+  const CsrGraph g = spec_graph("rmat:scale=11,edges=12000,a=0.55,b=0.15,c=0.15,d=0.15,seed=3");
   SeqOptions ff;
   ff.charge_model = false;
   SeqOptions sl;
@@ -163,7 +164,7 @@ TEST(Ordering, SmallestLastIsDegeneracyOrder) {
 }
 
 TEST(Ordering, OrdersArePermutations) {
-  const CsrGraph g = build_csr(100, graph::erdos_renyi(100, 400, 21));
+  const CsrGraph g = spec_graph("er:n=100,edges=400,seed=21");
   for (Ordering o : {Ordering::kFirstFit, Ordering::kLargestFirst,
                      Ordering::kSmallestLast, Ordering::kRandom}) {
     auto order = make_order(g, o, 5);

@@ -4,11 +4,13 @@
 
 #include "graph/bfs.hpp"
 #include "graph/builder.hpp"
-#include "graph/generators.hpp"
+#include "graph_fixtures.hpp"
 
 namespace {
 
 using namespace speckle::graph;
+using speckle::testing::ring_lattice;
+using speckle::testing::spec_graph;
 
 TEST(Bfs, PathDistances) {
   const CsrGraph g = build_csr(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
@@ -26,7 +28,7 @@ TEST(Bfs, UnreachableMarked) {
 
 TEST(Bfs, GridDistanceIsManhattan) {
   const vid_t nx = 7, ny = 7;
-  const CsrGraph g = build_csr(nx * ny, stencil2d(nx, ny));
+  const CsrGraph g = spec_graph("grid2d:nx=7,ny=7");
   const auto dist = bfs_distances(g, 0);
   for (vid_t y = 0; y < ny; ++y) {
     for (vid_t x = 0; x < nx; ++x) {

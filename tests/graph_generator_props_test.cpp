@@ -20,6 +20,7 @@
 #include "graph/csr_graph.hpp"
 #include "graph/genspec.hpp"
 #include "graph/suite.hpp"
+#include "support/rng.hpp"
 #include "support/threadpool.hpp"
 
 namespace {
@@ -225,10 +226,18 @@ TEST(GeneratorSpecParseDeath, MalformedSpecsAreRejectedLoudly) {
   EXPECT_DEATH(graph::parse_generator_spec("ba:n=12q", 7), "malformed value");
   EXPECT_DEATH(graph::parse_generator_spec("rmat:n=1000", 7), "power-of-two");
   EXPECT_DEATH(graph::parse_generator_spec("rmat:scale=10,a=0.9", 7), "sum to 1");
-  // The serial path covers the suite's models only; kron is sharded-only.
-  EXPECT_DEATH(graph::generate_edges_serial(
-                   graph::parse_generator_spec("kron:scale=10,deg=8", 7)),
-               "generate_edges_serial covers only");
+  EXPECT_DEATH(graph::parse_generator_spec("er:n=-5", 7), "malformed value");
+  // Values that used to wrap silently: 18446744073709552k is 384 mod 2^64,
+  // nx=4294967298 is 2 mod 2^32, and this grid3d's nx*ny*nz is 2^64 + 4.
+  EXPECT_DEATH(graph::parse_generator_spec("er:n=18446744073709552k", 7),
+               "overflows 64 bits");
+  EXPECT_DEATH(graph::parse_generator_spec("grid2d:nx=4294967298,ny=2", 7),
+               "overflows 32 bits");
+  EXPECT_DEATH(graph::parse_generator_spec("ba:attach=5000000k", 7),
+               "overflows 32 bits");
+  EXPECT_DEATH(graph::parse_generator_spec(
+                   "grid3d:nx=111620,ny=429509837,nz=384773", 7),
+               "nx\\*ny\\*nz overflows");
 }
 
 TEST(GeneratorSpecParseDeath, SeedZeroIsRejectedAtEveryEntryPoint) {
@@ -244,11 +253,74 @@ TEST(GeneratorSpecParseDeath, SeedZeroIsRejectedAtEveryEntryPoint) {
   EXPECT_DEATH(graph::suite_generator_spec("Hamrle3", 64, 0), "seed 0");
 }
 
+// --- pinned bytes ---------------------------------------------------------
+
+/// mix64 folded over the CSR arrays: any shift in a generator's stream
+/// changes it.
+std::uint64_t csr_hash(const CsrGraph& g) {
+  std::uint64_t h = 0;
+  for (const graph::eid_t x : g.row_offsets()) h = support::mix64(h ^ x);
+  for (const graph::vid_t x : g.col_indices()) h = support::mix64(h ^ x);
+  return h;
+}
+
+CsrGraph gen_serial(const std::string& text) {
+  const GeneratorSpec spec = graph::parse_generator_spec(text, 7);
+  return graph::build_csr(static_cast<graph::vid_t>(spec.num_vertices),
+                          graph::generate_edges_serial(spec));
+}
+
+TEST(PinnedBytes, SuiteGraphs) {
+  const std::map<std::string, std::uint64_t> expect = {
+      {"rmat-er", 0x49e398daef3d88e0ULL},   {"rmat-g", 0x1defa92b3a3338c3ULL},
+      {"thermal2", 0xedb3ea3afbbce7c5ULL},  {"atmosmodd", 0x057123140ea313aeULL},
+      {"Hamrle3", 0x09a42b65b27ceb43ULL},   {"G3_circuit", 0x0ec20e2263b80894ULL},
+  };
+  for (const auto& [name, hash] : expect) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(csr_hash(graph::make_suite_graph(name, 64, 1)), hash);
+  }
+}
+
+TEST(PinnedBytes, ShardedGenerationAtOneAndFourThreads) {
+  // 600x600 spans two row chunks, so chunk seeding and the telescoping
+  // defect share across a chunk boundary are pinned too.
+  const std::map<std::string, std::uint64_t> expect = {
+      {"kron:scale=11,deg=8", 0x809c97807f79ce4cULL},
+      {"ba:n=3000,attach=3", 0x85701525bac5d7aaULL},
+      {"rgg2d:n=3000,deg=8", 0xd1c65787032ae20fULL},
+      {"grid2d:nx=40,ny=30,defects=0.4", 0x7f9f954fc5fc5b71ULL},
+      {"grid2d:nx=600,ny=600,defects=0.4", 0x5221c005e29e3f43ULL},
+      {"grid2d:nx=43,ny=28,defects=0.375", 0x81d3b181f69aa66dULL},
+      {"grid3d:nx=9,ny=10,nz=11,defects=0.125", 0x9d95e1a2825c5bb0ULL},
+  };
+  for (const auto& [spec, hash] : expect) {
+    SCOPED_TRACE(spec);
+    EXPECT_EQ(csr_hash(gen(spec, 1)), hash);
+    EXPECT_EQ(csr_hash(gen(spec, 4)), hash);
+  }
+}
+
+TEST(PinnedBytes, SerialGridDefectCountTruncates) {
+  // rate * n = 451.5 (2-D) and 123.75 (3-D): the serial stream draws
+  // trunc(rate * n) defects where the sharded one draws llround(rate * n);
+  // these pins and the sharded ones above hold both rules in place.
+  const std::map<std::string, std::uint64_t> expect = {
+      {"grid2d:nx=43,ny=28,defects=0.375", 0x5f49cd1ecf12da8bULL},
+      {"grid3d:nx=9,ny=10,nz=11,defects=0.125", 0x70479e350c90c360ULL},
+  };
+  for (const auto& [spec, hash] : expect) {
+    SCOPED_TRACE(spec);
+    EXPECT_EQ(csr_hash(gen_serial(spec)), hash);
+  }
+}
+
 // --- suite integration ----------------------------------------------------
 
 TEST(SuiteSpec, SuiteGraphsRebuildByteIdenticalFromTheirSpecs) {
-  // make_suite_graph is now spec-driven; the spec must reproduce the
-  // historical bytes (the goldens pin this at CI scale too).
+  // make_suite_graph is exactly the serial schedule of its spec. This
+  // compares two routes to the same stream; PinnedBytes.SuiteGraphs (and
+  // the CI goldens) are what pin the bytes themselves.
   for (const char* name : {"rmat-g", "thermal2", "Hamrle3", "G3_circuit"}) {
     SCOPED_TRACE(name);
     const GeneratorSpec spec = graph::suite_generator_spec(name, 64, 5);
@@ -256,6 +328,15 @@ TEST(SuiteSpec, SuiteGraphsRebuildByteIdenticalFromTheirSpecs) {
         graph::build_csr(static_cast<graph::vid_t>(spec.num_vertices),
                          graph::generate_edges_serial(spec));
     EXPECT_TRUE(same_graph(via_spec, graph::make_suite_graph(name, 64, 5)));
+  }
+}
+
+TEST(SuiteSpec, RngFreeModelsAgreeAcrossSchedules) {
+  // ba and rgg2d draw from stateless hashes, not the rng, so the serial
+  // schedule's one chunk must equal the sharded chunks concatenated.
+  for (const char* text : {"ba:n=3000,attach=3", "rgg2d:n=3000,deg=8"}) {
+    SCOPED_TRACE(text);
+    EXPECT_TRUE(same_graph(gen_serial(text), gen(text, 4)));
   }
 }
 

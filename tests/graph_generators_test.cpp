@@ -1,5 +1,6 @@
-// Tests for the synthetic graph generators, including the distributional
-// properties the Table I structural twins rely on.
+// Tests for the synthetic graph generators on the serial schedule
+// (generate_edges_serial), including the distributional properties the
+// Table I structural twins rely on, and for the ring/complete fixtures.
 
 #include <gtest/gtest.h>
 
@@ -7,14 +8,18 @@
 
 #include "graph/analysis.hpp"
 #include "graph/builder.hpp"
-#include "graph/generators.hpp"
+#include "graph_fixtures.hpp"
 
 namespace {
 
 using namespace speckle::graph;
+using speckle::testing::complete;
+using speckle::testing::ring_lattice;
+using speckle::testing::spec_edges;
+using speckle::testing::spec_graph;
 
 TEST(Rmat, ProducesRequestedEdgeCount) {
-  const EdgeList edges = rmat(10, 5000, RmatParams{}, 1);
+  const EdgeList edges = spec_edges("rmat:scale=10,edges=5000,seed=1");
   EXPECT_EQ(edges.size(), 5000U);
   for (const Edge& e : edges) {
     EXPECT_LT(e.src, 1024U);
@@ -23,14 +28,14 @@ TEST(Rmat, ProducesRequestedEdgeCount) {
 }
 
 TEST(Rmat, Deterministic) {
-  const EdgeList a = rmat(8, 1000, RmatParams{}, 77);
-  const EdgeList b = rmat(8, 1000, RmatParams{}, 77);
+  const EdgeList a = spec_edges("rmat:scale=8,edges=1000,seed=77");
+  const EdgeList b = spec_edges("rmat:scale=8,edges=1000,seed=77");
   EXPECT_EQ(a, b);
 }
 
 TEST(Rmat, SeedChangesOutput) {
-  const EdgeList a = rmat(8, 1000, RmatParams{}, 1);
-  const EdgeList b = rmat(8, 1000, RmatParams{}, 2);
+  const EdgeList a = spec_edges("rmat:scale=8,edges=1000,seed=1");
+  const EdgeList b = spec_edges("rmat:scale=8,edges=1000,seed=2");
   EXPECT_NE(a, b);
 }
 
@@ -38,10 +43,9 @@ TEST(Rmat, SkewedParametersSkewDegrees) {
   // rmat-g's (0.45,0.15,0.15,0.25) must produce a heavier-tailed degree
   // distribution than the ER-like (0.25 x4) — that is the entire point of
   // the two Table I synthetic graphs.
-  const RmatParams er{};
-  const RmatParams g_params{0.45, 0.15, 0.15, 0.25, 0.1};
-  const CsrGraph er_graph = build_csr(1 << 14, rmat(14, 160000, er, 5));
-  const CsrGraph g_graph = build_csr(1 << 14, rmat(14, 160000, g_params, 5));
+  const CsrGraph er_graph = spec_graph("rmat:scale=14,edges=160000,seed=5");
+  const CsrGraph g_graph =
+      spec_graph("rmat:scale=14,edges=160000,a=0.45,b=0.15,c=0.15,d=0.25,seed=5");
   const DegreeReport er_report = analyze_degrees(er_graph);
   const DegreeReport g_report = analyze_degrees(g_graph);
   EXPECT_GT(g_report.degree_variance, 4 * er_report.degree_variance);
@@ -49,7 +53,7 @@ TEST(Rmat, SkewedParametersSkewDegrees) {
 }
 
 TEST(ErdosRenyi, RespectsRange) {
-  const EdgeList edges = erdos_renyi(100, 500, 3);
+  const EdgeList edges = spec_edges("er:n=100,edges=500,seed=3");
   EXPECT_EQ(edges.size(), 500U);
   for (const Edge& e : edges) {
     EXPECT_NE(e.src, e.dst);
@@ -59,7 +63,7 @@ TEST(ErdosRenyi, RespectsRange) {
 }
 
 TEST(Stencil2d, InteriorDegreeIsFour) {
-  const CsrGraph g = build_csr(25, stencil2d(5, 5));
+  const CsrGraph g = spec_graph("grid2d:nx=5,ny=5");
   EXPECT_EQ(g.degree(12), 4U);  // center
   EXPECT_EQ(g.degree(0), 2U);   // corner
   EXPECT_EQ(g.degree(2), 3U);   // edge
@@ -67,23 +71,23 @@ TEST(Stencil2d, InteriorDegreeIsFour) {
 }
 
 TEST(Stencil3d, InteriorDegreeIsSix) {
-  const CsrGraph g = build_csr(27, stencil3d(3, 3, 3));
+  const CsrGraph g = spec_graph("grid3d:nx=3,ny=3,nz=3");
   EXPECT_EQ(g.degree(13), 6U);  // center of 3x3x3
   EXPECT_EQ(g.degree(0), 3U);   // corner
 }
 
 TEST(Stencil3d, EdgeCountFormula) {
   const vid_t nx = 4, ny = 5, nz = 6;
-  const CsrGraph g = build_csr(nx * ny * nz, stencil3d(nx, ny, nz));
+  const CsrGraph g = spec_graph("grid3d:nx=4,ny=5,nz=6");
   const eid_t undirected =
       (nx - 1) * ny * nz + nx * (ny - 1) * nz + nx * ny * (nz - 1);
   EXPECT_EQ(g.num_edges(), 2 * undirected);
 }
 
 TEST(LocalDefects, AddsBoundedLocalEdges) {
-  EdgeList edges = stencil2d(10, 10);
-  const std::size_t before = edges.size();
-  add_local_defects(edges, 100, 1.0, 5, 9);
+  // The defect edges follow the stencil's in the edge list.
+  const std::size_t before = spec_edges("grid2d:nx=10,ny=10").size();
+  const EdgeList edges = spec_edges("grid2d:nx=10,ny=10,defects=1.0,window=5,seed=9");
   EXPECT_GT(edges.size(), before);
   EXPECT_LE(edges.size(), before + 100);
   for (std::size_t i = before; i < edges.size(); ++i) {
@@ -95,7 +99,7 @@ TEST(LocalDefects, AddsBoundedLocalEdges) {
 }
 
 TEST(LocalRandom, DegreeWithinWindow) {
-  const CsrGraph g = build_csr(1000, local_random(1000, 2, 6, 50, 4));
+  const CsrGraph g = spec_graph("localrand:n=1000,deglo=2,deghi=6,window=50,seed=4");
   const DegreeReport report = analyze_degrees(g);
   // Initiated degree U[2,6] symmetrized: mean ~= 8 before dedup.
   EXPECT_GT(report.avg_degree, 5.0);
@@ -128,7 +132,7 @@ TEST(Analysis, ComponentsAndIsolated) {
 }
 
 TEST(Analysis, DegreeReportOnStencil) {
-  const CsrGraph g = build_csr(25, stencil2d(5, 5));
+  const CsrGraph g = spec_graph("grid2d:nx=5,ny=5");
   const DegreeReport r = analyze_degrees(g);
   EXPECT_EQ(r.min_degree, 2U);
   EXPECT_EQ(r.max_degree, 4U);

@@ -5,15 +5,16 @@
 #include <sstream>
 
 #include "graph/builder.hpp"
-#include "graph/generators.hpp"
 #include "graph/matrix_market.hpp"
+#include "graph_fixtures.hpp"
 
 namespace {
 
 using namespace speckle::graph;
+using speckle::testing::spec_graph;
 
 TEST(MatrixMarket, RoundTripPreservesStructure) {
-  const CsrGraph g = build_csr(64, erdos_renyi(64, 200, 5));
+  const CsrGraph g = spec_graph("er:n=64,edges=200,seed=5");
   std::stringstream buffer;
   write_matrix_market(g, buffer);
   const CsrGraph h = read_matrix_market(buffer, "roundtrip");

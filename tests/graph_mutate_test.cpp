@@ -8,7 +8,6 @@
 #include <random>
 
 #include "graph/builder.hpp"
-#include "graph/generators.hpp"
 #include "graph/mutate.hpp"
 #include "graph/suite.hpp"
 

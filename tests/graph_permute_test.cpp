@@ -5,13 +5,14 @@
 #include <algorithm>
 
 #include "graph/builder.hpp"
-#include "graph/generators.hpp"
 #include "graph/permute.hpp"
+#include "graph_fixtures.hpp"
 #include "support/rng.hpp"
 
 namespace {
 
 using namespace speckle::graph;
+using speckle::testing::spec_graph;
 
 TEST(Permute, IdentityIsNoOp) {
   const CsrGraph g = build_csr(4, {{0, 1}, {1, 2}, {2, 3}});
@@ -33,7 +34,7 @@ TEST(Permute, RelabelsAdjacency) {
 }
 
 TEST(Permute, PreservesDegreeMultiset) {
-  const CsrGraph g = build_csr(200, erdos_renyi(200, 600, 7));
+  const CsrGraph g = spec_graph("er:n=200,edges=600,seed=7");
   const CsrGraph h = permute_random(g, 13);
   std::vector<vid_t> dg, dh;
   for (vid_t v = 0; v < 200; ++v) {
@@ -48,7 +49,7 @@ TEST(Permute, PreservesDegreeMultiset) {
 }
 
 TEST(Permute, EdgesMapExactly) {
-  const CsrGraph g = build_csr(50, erdos_renyi(50, 120, 3));
+  const CsrGraph g = spec_graph("er:n=50,edges=120,seed=3");
   const auto perm_vec = speckle::support::random_permutation(50, 4);
   const CsrGraph h = permute(g, std::span<const vid_t>(perm_vec));
   for (vid_t v = 0; v < 50; ++v) {

@@ -8,7 +8,6 @@
 #include "coloring/runner.hpp"
 #include "coloring/seq_greedy.hpp"
 #include "graph/builder.hpp"
-#include "graph/generators.hpp"
 #include "graph/suite.hpp"
 
 namespace {

@@ -10,16 +10,17 @@
 
 #include "coloring/runner.hpp"
 #include "graph/builder.hpp"
-#include "graph/generators.hpp"
+#include "graph_fixtures.hpp"
 #include "simt/device.hpp"
 
 namespace {
 
 using namespace speckle;
 using namespace speckle::coloring;
+using speckle::testing::spec_graph;
 
 graph::CsrGraph pinned_graph() {
-  return graph::build_csr(4096, graph::rmat(12, 24000, graph::RmatParams{}, 42));
+  return spec_graph("rmat:scale=12,edges=24000,seed=42");
 }
 
 TEST(Regression, PinnedGraphStructure) {
