@@ -19,7 +19,7 @@
 ///                bit-identical for every value; only wall-clock changes.
 ///   --devices=P  shard each run over P simulated GPUs (speckle::multidev;
 ///                data-driven schemes only; default 1)
-///   --partitioner=contiguous|hash|bfs  multi-device vertex partitioner
+///   --partitioner=contiguous|bfs  multi-device vertex partitioner
 ///   --profile    run the schemes under the speckle::prof profiling layer
 ///                (benches that support it print a counter summary)
 ///   --check      record every launch into a speckle::check plan and run

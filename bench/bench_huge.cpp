@@ -22,7 +22,7 @@
 ///   --edges=100000000   target directed CSR entries per family
 ///   --schemes=D-base,D-ldg,D-atomic          data-driven schemes to run
 ///   --parts=1,4         fleet sizes P (multi-device sharding for P > 1)
-///   --partitioner=contiguous|hash|bfs        vertex partitioner for P > 1
+///   --partitioner=contiguous|bfs             vertex partitioner for P > 1
 ///   --block=128 --seed=1 --threads=0         as in bench_common
 ///   --mem-budget-mb=12288                    hard memory cap (MiB)
 ///   --graph-cache=DIR   on-disk CSR cache (SPECKLE_GRAPH_CACHE also works)

@@ -75,17 +75,6 @@ struct IncrementalRow {
   bool proper = false;
 };
 
-bool proper_coloring(const graph::CsrGraph& g,
-                     const coloring::Coloring& colors) {
-  for (graph::vid_t v = 0; v < g.num_vertices(); ++v) {
-    if (colors[v] == coloring::kUncolored) return false;
-    for (graph::vid_t w : g.neighbors(v)) {
-      if (colors[v] == colors[w]) return false;
-    }
-  }
-  return true;
-}
-
 std::uint32_t host_threads(const Config& cfg) {
   if (cfg.threads > 0) return cfg.threads;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -231,10 +220,8 @@ IncrementalRow run_incremental(const Config& cfg, const std::string& name,
   const std::vector<graph::vid_t> dirty =
       coloring::dirty_from_inserts(base.coloring, outcome.inserted);
 
-  coloring::RecolorOptions ropts;
-  static_cast<coloring::DataOptions&>(ropts) = dopts;
   const coloring::RecolorResult incremental =
-      coloring::recolor_region(outcome.graph, base.coloring, dirty, ropts);
+      coloring::recolor_region(outcome.graph, base.coloring, dirty, dopts);
   const coloring::GpuResult scratch =
       coloring::data_color(outcome.graph, dopts);
 
@@ -249,13 +236,12 @@ IncrementalRow run_incremental(const Config& cfg, const std::string& name,
   row.speedup = incremental.model_ms > 0.0
                     ? scratch.model_ms / incremental.model_ms
                     : 0.0;
-  row.proper = proper_coloring(outcome.graph, incremental.coloring);
+  row.proper =
+      coloring::verify_coloring(outcome.graph, incremental.coloring).proper;
   return row;
 }
 
 // ---------------------------------------------------------------------------
-
-std::string json_escape(const std::string& s) { return s; }  // names are safe
 
 void write_json(const Config& cfg, const std::vector<ThroughputRow>& tput,
                 const std::vector<IncrementalRow>& incr) {
@@ -276,7 +262,7 @@ void write_json(const Config& cfg, const std::vector<ThroughputRow>& tput,
   out << "  \"throughput\": [\n";
   for (std::size_t i = 0; i < tput.size(); ++i) {
     const ThroughputRow& r = tput[i];
-    out << "    {\"graph\": \"" << json_escape(r.graph)
+    out << "    {\"graph\": \"" << r.graph
         << "\", \"requests\": " << r.requests
         << ", \"reqs_per_sec\": " << r.reqs_per_sec
         << ", \"p50_us\": " << r.p50_us << ", \"p99_us\": " << r.p99_us
@@ -289,7 +275,7 @@ void write_json(const Config& cfg, const std::vector<ThroughputRow>& tput,
   out << "  \"incremental\": [\n";
   for (std::size_t i = 0; i < incr.size(); ++i) {
     const IncrementalRow& r = incr[i];
-    out << "    {\"graph\": \"" << json_escape(r.graph)
+    out << "    {\"graph\": \"" << r.graph
         << "\", \"batch_edges\": " << r.batch_edges
         << ", \"batch_pct\": " << r.batch_pct << ", \"dirty\": " << r.dirty
         << ", \"iterations\": " << r.iterations

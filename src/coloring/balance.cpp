@@ -9,8 +9,14 @@ namespace speckle::coloring {
 
 using graph::vid_t;
 
-BalanceResult balance_colors(const graph::CsrGraph& g, Coloring coloring,
-                             const BalanceOptions& opts) {
+namespace {
+
+constexpr std::uint32_t kMaxRounds = 8;
+constexpr double kTargetFactor = 1.05;
+
+}  // namespace
+
+BalanceResult balance_colors(const graph::CsrGraph& g, Coloring coloring) {
   SPECKLE_CHECK(verify_coloring(g, coloring).proper,
                 "balance_colors requires a proper coloring");
   BalanceResult result;
@@ -27,9 +33,9 @@ BalanceResult balance_colors(const graph::CsrGraph& g, Coloring coloring,
   const double ideal = static_cast<double>(coloring.size()) / k;
 
   std::vector<std::uint8_t> forbidden(k + 1, 0);
-  for (std::uint32_t round = 0; round < opts.max_rounds; ++round) {
+  for (std::uint32_t round = 0; round < kMaxRounds; ++round) {
     const vid_t current_max = *std::max_element(class_size.begin() + 1, class_size.end());
-    if (current_max <= ideal * opts.target_factor) break;
+    if (current_max <= ideal * kTargetFactor) break;
     ++result.rounds;
     std::uint64_t round_moves = 0;
     for (vid_t v = 0; v < g.num_vertices(); ++v) {

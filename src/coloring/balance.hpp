@@ -13,13 +13,6 @@
 
 namespace speckle::coloring {
 
-struct BalanceOptions {
-  /// Maximum rounds of moves (each round scans all vertices once).
-  std::uint32_t max_rounds = 8;
-  /// Stop once max class size is within this factor of ideal (n/k).
-  double target_factor = 1.05;
-};
-
 struct BalanceResult {
   Coloring coloring;
   double balance_before = 0.0;  ///< color_balance() prior to the pass
@@ -28,9 +21,10 @@ struct BalanceResult {
   std::uint64_t moves = 0;
 };
 
-/// Rebalance `coloring` (must be proper) on graph `g`. The result is proper
-/// and uses at most the same number of colors.
-BalanceResult balance_colors(const graph::CsrGraph& g, Coloring coloring,
-                             const BalanceOptions& opts = {});
+/// Rebalance `coloring` (must be proper) on graph `g`: at most 8 rounds of
+/// moves (each scans all vertices once), stopping once the largest class is
+/// within 1.05x of the ideal n/k. The result is proper and uses at most the
+/// same number of colors.
+BalanceResult balance_colors(const graph::CsrGraph& g, Coloring coloring);
 
 }  // namespace speckle::coloring

@@ -99,8 +99,8 @@ GpuResult csrcolor(const graph::CsrGraph& g, const CsrColorOptions& opts) {
   count_spec.reads(colors).atomics(counter);
 
   while (remaining > 0) {
-    SPECKLE_CHECK(result.iterations < opts.max_iterations,
-                  "csrcolor exceeded max_iterations");
+    SPECKLE_CHECK(result.iterations < kMaxRounds,
+                  "csrcolor exceeded kMaxRounds");
     ++result.iterations;
 
     // Snapshot kernel: uncolored[v] = (color[v] == 0). Coalesced streams.

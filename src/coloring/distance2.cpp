@@ -159,7 +159,7 @@ GpuResult topo_color_d2(const graph::CsrGraph& g, const GpuOptions& opts) {
   const check::KernelSpec detect_spec =
       graph_spec(dg, opts.use_ldg).reads(colors).writes(colored);
 
-  for (std::uint32_t iter = 0; iter < opts.max_iterations; ++iter) {
+  for (std::uint32_t iter = 0; iter < kMaxRounds; ++iter) {
     ++result.iterations;
     changed[0] = 0;
     dev.copy_to_device(sizeof(std::uint32_t));
@@ -187,7 +187,7 @@ GpuResult topo_color_d2(const graph::CsrGraph& g, const GpuOptions& opts) {
     dev.copy_to_host(sizeof(std::uint32_t));
     if (changed[0] == 0) break;
   }
-  SPECKLE_CHECK(changed[0] == 0, "topo_color_d2 exceeded max_iterations");
+  SPECKLE_CHECK(changed[0] == 0, "topo_color_d2 exceeded kMaxRounds");
 
   result.coloring.assign(colors.host().begin(), colors.host().end());
   result.num_colors = count_colors(result.coloring);

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "coloring/seq_greedy.hpp"
-#include "support/check.hpp"
 #include "support/timer.hpp"
 
 namespace speckle::coloring {
@@ -11,12 +10,18 @@ namespace speckle::coloring {
 using graph::eid_t;
 using graph::vid_t;
 
+namespace {
+
+/// Step-2 repetitions before the CPU pass.
+constexpr std::uint32_t kGm3GpuRounds = 3;
+
+}  // namespace
+
 Gm3Result gm3step_color(const graph::CsrGraph& g, const Gm3Options& opts) {
   support::Timer wall;
   const vid_t n = g.num_vertices();
   Gm3Result result;
   if (n == 0) return result;
-  SPECKLE_CHECK(opts.partition_size >= 1, "partition size must be positive");
 
   simt::Device dev(opts.device);
   DeviceGraph dg = upload_graph(dev, g);
@@ -25,7 +30,7 @@ Gm3Result gm3step_color(const graph::CsrGraph& g, const Gm3Options& opts) {
   colors.fill(kUncolored);
   conflicted.fill(1);  // round 1 colors everything
 
-  const vid_t num_partitions = (n + opts.partition_size - 1) / opts.partition_size;
+  const vid_t num_partitions = (n + kGm3PartitionSize - 1) / kGm3PartitionSize;
   simt::LaunchConfig part_cfg{
       (num_partitions + opts.block_size - 1) / opts.block_size, opts.block_size};
   part_cfg.racy_visibility = true;  // partition coloring speculates via st_racy
@@ -44,13 +49,13 @@ Gm3Result gm3step_color(const graph::CsrGraph& g, const Gm3Options& opts) {
   // Step 2, repeated: color the conflicted vertices partition-by-partition
   // (one thread walks its whole partition — Grosset's mapping), then detect
   // cross-thread conflicts over all vertices.
-  for (std::uint32_t round = 0; round < opts.gpu_rounds; ++round) {
+  for (std::uint32_t round = 0; round < kGm3GpuRounds; ++round) {
     ++result.iterations;
     dev.launch(part_cfg, "gm3_color_partition", color_spec, [&](simt::Thread& t) {
       const auto p = static_cast<vid_t>(t.global_id());
       if (p >= num_partitions) return;
-      const vid_t lo = p * opts.partition_size;
-      const vid_t hi = std::min<vid_t>(lo + opts.partition_size, n);
+      const vid_t lo = p * kGm3PartitionSize;
+      const vid_t hi = std::min<vid_t>(lo + kGm3PartitionSize, n);
       t.compute(3);
       // Local copy of the partition's colors: the thread must see its own
       // assignments immediately (within-partition neighbors), while other

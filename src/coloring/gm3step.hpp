@@ -24,9 +24,10 @@
 
 namespace speckle::coloring {
 
+/// Vertices colored per thread in step 1.
+inline constexpr graph::vid_t kGm3PartitionSize = 128;
+
 struct Gm3Options : GpuOptions {
-  std::uint32_t partition_size = 128;  ///< vertices colored per thread
-  std::uint32_t gpu_rounds = 3;        ///< step-2 repetitions before the CPU pass
   cpumodel::CpuConfig cpu = cpumodel::CpuConfig::xeon_e5_2670();
 };
 

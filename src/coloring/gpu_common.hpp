@@ -27,11 +27,14 @@ struct DeviceGraph {
 /// transfers do count.
 DeviceGraph upload_graph(simt::Device& dev, const graph::CsrGraph& g);
 
+/// Round cap of every iterative scheme (single- and multi-device). No
+/// correct run comes near it; exceeding it means a livelock and aborts.
+inline constexpr std::uint32_t kMaxRounds = 100000;
+
 /// Options shared by every GPU-sim scheme.
 struct GpuOptions {
   std::uint32_t block_size = 128;  ///< the paper's default (Fig 8)
   bool use_ldg = false;            ///< route R and C through the RO cache
-  std::uint32_t max_iterations = 100000;
   simt::DeviceConfig device = simt::DeviceConfig::k20c();
 };
 

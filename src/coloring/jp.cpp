@@ -15,15 +15,12 @@ JpResult jones_plassmann(const graph::CsrGraph& g, const JpOptions& opts) {
   result.coloring.assign(n, kUncolored);
 
   support::Timer timer;
+  // Stateless per-vertex priorities, fixed for the whole run; ties broken
+  // by vertex id.
   std::vector<std::uint64_t> priority(n);
-  auto draw = [&](std::uint64_t round) {
-    for (vid_t v = 0; v < n; ++v) {
-      // Stateless per-(vertex, round) priority; ties broken by vertex id.
-      const std::uint64_t r = opts.redraw_priorities ? round : 0;
-      priority[v] = support::mix64(opts.seed ^ (static_cast<std::uint64_t>(v) << 20) ^ r);
-    }
-  };
-  draw(0);
+  for (vid_t v = 0; v < n; ++v) {
+    priority[v] = support::mix64(opts.seed ^ (static_cast<std::uint64_t>(v) << 20));
+  }
 
   std::vector<vid_t> worklist(n);
   for (vid_t v = 0; v < n; ++v) worklist[v] = v;
@@ -32,7 +29,6 @@ JpResult jones_plassmann(const graph::CsrGraph& g, const JpOptions& opts) {
 
   while (!worklist.empty()) {
     ++result.rounds;
-    if (opts.redraw_priorities) draw(result.rounds);
     next.clear();
     // Algorithm 3 lines 8-18: a vertex joins the independent set S when its
     // priority beats every *uncolored* neighbor's (ties by id).

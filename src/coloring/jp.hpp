@@ -14,10 +14,6 @@ namespace speckle::coloring {
 
 struct JpOptions {
   std::uint64_t seed = 1;
-  /// Draw fresh priorities every round (classic Luby) instead of fixing
-  /// them once (Jones–Plassmann). Luby tends to need fewer rounds; JP
-  /// assigns colors deterministically given the priorities.
-  bool redraw_priorities = false;
 };
 
 struct JpResult {

@@ -20,15 +20,6 @@ const char* ordering_name(Ordering o) {
   return "?";
 }
 
-Ordering ordering_from_name(const std::string& name) {
-  if (name == "first-fit" || name == "ff") return Ordering::kFirstFit;
-  if (name == "largest-first" || name == "lf") return Ordering::kLargestFirst;
-  if (name == "smallest-last" || name == "sl") return Ordering::kSmallestLast;
-  if (name == "random") return Ordering::kRandom;
-  SPECKLE_CHECK(false, "unknown ordering '" + name + "'");
-  return Ordering::kFirstFit;
-}
-
 namespace {
 
 std::vector<vid_t> natural_order(vid_t n) {

@@ -24,7 +24,6 @@ enum class Ordering {
 };
 
 const char* ordering_name(Ordering o);
-Ordering ordering_from_name(const std::string& name);
 
 /// Compute the visit order under `o`. O(n) / O(n log n) / O(n + m) resp.
 std::vector<graph::vid_t> make_order(const graph::CsrGraph& g, Ordering o,

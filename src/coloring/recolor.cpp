@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "coloring/refine.hpp"
 #include "support/check.hpp"
 #include "support/timer.hpp"
 
@@ -20,8 +19,8 @@ std::uint32_t speculate_resolve(simt::Device& dev, const DeviceGraph& dg,
   std::uint32_t iterations = iterations_in;
 
   while (!w_in->empty()) {
-    SPECKLE_CHECK(iterations < opts.max_iterations,
-                  "data_color exceeded max_iterations");
+    SPECKLE_CHECK(iterations < kMaxRounds,
+                  "data_color exceeded kMaxRounds");
     ++iterations;
     const std::uint32_t count = w_in->size();
     const simt::LaunchConfig cfg{(count + opts.block_size - 1) / opts.block_size,
@@ -104,7 +103,7 @@ RecolorResult recolor_region(const graph::CsrGraph& g, const Coloring& base,
 
   result.full =
       static_cast<double>(dirty.size()) >
-      opts.full_threshold * static_cast<double>(n);
+      kFullRecolorFraction * static_cast<double>(n);
 
   simt::Device dev(opts.device);
   DeviceGraph dg = upload_graph(dev, g);
@@ -138,13 +137,6 @@ RecolorResult recolor_region(const graph::CsrGraph& g, const Coloring& base,
   result.coloring.assign(colors.host().begin(), colors.host().end());
   result.model_ms = dev.elapsed_ms();
 
-  if (opts.refine_rounds > 0) {
-    RefineOptions ro;
-    ro.rounds = opts.refine_rounds;
-    RefineResult rr = iterated_greedy(g, std::move(result.coloring), ro);
-    result.refine_rounds = rr.rounds_run;
-    result.coloring = std::move(rr.coloring);
-  }
   result.num_colors = count_colors(result.coloring);
   result.wall_ms = wall.milliseconds();
   return result;

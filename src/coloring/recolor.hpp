@@ -32,7 +32,7 @@ namespace speckle::coloring {
 
 /// The Algorithm-5 speculate/resolve loop, from whatever worklist state
 /// `w_in` currently holds down to an empty worklist. Returns the number of
-/// iterations run (added to `iterations_in`, which the max_iterations guard
+/// iterations run (added to `iterations_in`, which the kMaxRounds guard
 /// compares against). Shared verbatim by data_color() and recolor_region():
 /// the kernel names, launch configs and transfer charges are identical, so
 /// the full-graph path's simulated results stay bit-identical.
@@ -42,25 +42,19 @@ std::uint32_t speculate_resolve(simt::Device& dev, const DeviceGraph& dg,
                                 const DataOptions& opts,
                                 std::uint32_t iterations_in = 0);
 
-struct RecolorOptions : DataOptions {
-  /// Dirty fraction (|dirty| / n) above which the incremental path stops
-  /// paying off and recolor_region falls back to a full from-scratch run
-  /// (all colors reset, worklist = V). See docs/serve.md for the threshold
-  /// semantics the server exposes.
-  double full_threshold = 0.10;
-  /// Iterated-greedy rounds (refine.cpp) applied after the resolve loop.
-  /// 0 skips refine — the serve default, keeping untouched vertices' colors
-  /// stable across mutations; refine is global by nature and may relabel
-  /// any vertex.
-  std::uint32_t refine_rounds = 0;
-};
+/// Dirty fraction (|dirty| / n) above which the incremental path stops
+/// paying off and recolor_region falls back to a full from-scratch run
+/// (all colors reset, worklist = V). See docs/serve.md.
+inline constexpr double kFullRecolorFraction = 0.10;
+
+/// recolor_region runs data_color's loop, so it takes data_color's options.
+using RecolorOptions = DataOptions;
 
 struct RecolorResult {
   Coloring coloring;
   color_t num_colors = 0;
   std::uint32_t iterations = 0;   ///< resolve rounds run (0 for empty dirty)
   bool full = false;              ///< fell back to from-scratch recoloring
-  std::uint32_t refine_rounds = 0;
   double model_ms = 0.0;          ///< simulated device time (deterministic)
   double wall_ms = 0.0;           ///< host wall clock
 };

@@ -1,7 +1,5 @@
 #include "coloring/refine.hpp"
 
-#include <algorithm>
-#include <numeric>
 #include <vector>
 
 #include "coloring/seq_greedy.hpp"
@@ -33,28 +31,18 @@ RefineResult iterated_greedy(const graph::CsrGraph& g, Coloring coloring,
     const color_t k = count_colors(coloring);
     if (k <= 2) break;  // already optimal for any graph with an edge
 
-    // Bucket vertices by class, then lay the classes out in the chosen
-    // order. Greedy over class-grouped vertices never increases the count:
-    // when a vertex is visited, earlier vertices of its own class are
+    // Bucket vertices by class, then lay the classes out highest first.
+    // Greedy over class-grouped vertices never increases the count: when a
+    // vertex is visited, earlier vertices of its own class are
     // non-adjacent, so it can always reuse its class's slot or better.
     std::vector<std::vector<vid_t>> classes(k);
     for (vid_t v = 0; v < g.num_vertices(); ++v) {
       classes[coloring[v] - 1].push_back(v);
     }
-    std::vector<std::uint32_t> class_order(k);
-    std::iota(class_order.begin(), class_order.end(), 0U);
-    if (opts.order == ClassOrder::kReverse) {
-      std::reverse(class_order.begin(), class_order.end());
-    } else {
-      std::stable_sort(class_order.begin(), class_order.end(),
-                       [&](std::uint32_t a, std::uint32_t b) {
-                         return classes[a].size() > classes[b].size();
-                       });
-    }
     std::vector<vid_t> order;
     order.reserve(g.num_vertices());
-    for (std::uint32_t c : class_order) {
-      order.insert(order.end(), classes[c].begin(), classes[c].end());
+    for (auto c = classes.rbegin(); c != classes.rend(); ++c) {
+      order.insert(order.end(), c->begin(), c->end());
     }
 
     Coloring next = greedy_over_order(g, order);

@@ -2,9 +2,9 @@
 /// \file refine.hpp
 /// Iterated-greedy color refinement (Culberson): re-running the greedy
 /// algorithm with vertices grouped by their current color classes can never
-/// increase the color count, and reordering the classes (reversed, or
-/// largest-first) frequently decreases it. A cheap post-pass that recovers
-/// quality lost to speculation or to a poor initial ordering.
+/// increase the color count, and visiting the classes in reverse order
+/// (Culberson's classic choice) frequently decreases it. A cheap post-pass
+/// that recovers quality lost to speculation or to a poor initial ordering.
 
 #include <cstdint>
 
@@ -13,14 +13,8 @@
 
 namespace speckle::coloring {
 
-enum class ClassOrder {
-  kReverse,       ///< highest color class first (Culberson's classic choice)
-  kLargestFirst,  ///< biggest class first (tends to flatten the histogram)
-};
-
 struct RefineOptions {
   std::uint32_t rounds = 4;
-  ClassOrder order = ClassOrder::kReverse;
 };
 
 struct RefineResult {

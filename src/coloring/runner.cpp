@@ -81,7 +81,6 @@ GpuOptions make_gpu_options(const RunOptions& opts, bool use_ldg) {
   gpu.block_size = opts.block_size;
   gpu.use_ldg = use_ldg;
   gpu.device = opts.device;
-  gpu.max_iterations = opts.max_iterations;
   return gpu;
 }
 
@@ -102,7 +101,6 @@ RunResult run_scheme(Scheme s, const graph::CsrGraph& g, const RunOptions& opts)
     mo.block_size = opts.block_size;
     mo.use_ldg = s == Scheme::kDataLdg;
     mo.scan_push = s != Scheme::kDataAtomic;
-    mo.max_rounds = opts.max_iterations;
     mo.seed = opts.seed;
     mo.device = opts.device;
     static_cast<multidev::MultiDevResult&>(result) = multidev::multidev_color(g, mo);

@@ -52,7 +52,6 @@ struct RunOptions {
   std::uint64_t seed = 1;
   simt::DeviceConfig device = simt::DeviceConfig::k20c();
   cpumodel::CpuConfig cpu = cpumodel::CpuConfig::xeon_e5_2670();
-  std::uint32_t max_iterations = 100000;
 
   /// Multi-device runs (speckle::multidev): shard the graph over this many
   /// simulated GPUs. 1 = the classic single-device path. Values > 1 are

@@ -35,7 +35,7 @@ GpuResult topo_color(const graph::CsrGraph& g, const GpuOptions& opts) {
   const check::KernelSpec detect_spec =
       graph_spec(dg, opts.use_ldg).reads(colors).writes(colored);
 
-  for (std::uint32_t iter = 0; iter < opts.max_iterations; ++iter) {
+  for (std::uint32_t iter = 0; iter < kMaxRounds; ++iter) {
     ++result.iterations;
     changed[0] = 0;
     dev.copy_to_device(sizeof(std::uint32_t));  // cudaMemset of the flag
@@ -72,7 +72,7 @@ GpuResult topo_color(const graph::CsrGraph& g, const GpuOptions& opts) {
   // Vertices whose colored flag was cleared on the final conflict pass hold
   // stale colors; Algorithm 4 exits only when a full round colors nothing,
   // so at that point every flag is set and every color is final.
-  SPECKLE_CHECK(changed[0] == 0, "topo_color exceeded max_iterations");
+  SPECKLE_CHECK(changed[0] == 0, "topo_color exceeded kMaxRounds");
   result.num_colors = count_colors(result.coloring);
   finish_gpu_result(result, dev, wall);
   return result;

@@ -56,8 +56,8 @@ GpuResult data_warp_color(const graph::CsrGraph& g, const DataOptions& opts) {
   const std::uint32_t warps_per_block = opts.block_size / 32;
 
   while (!w_in->empty()) {
-    SPECKLE_CHECK(result.iterations < opts.max_iterations,
-                  "data_warp_color exceeded max_iterations");
+    SPECKLE_CHECK(result.iterations < kMaxRounds,
+                  "data_warp_color exceeded kMaxRounds");
     ++result.iterations;
     const std::uint32_t count = w_in->size();
 

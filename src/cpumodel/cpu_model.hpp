@@ -56,7 +56,6 @@ class CpuModel {
   double cycles() const { return cycles_; }
   double ms() const { return cycles_ / (config_.clock_ghz * 1e6); }
 
-  std::uint64_t l1_misses() const { return l1_.misses(); }
   std::uint64_t dram_accesses() const { return dram_accesses_; }
 
   const CpuConfig& config() const { return config_; }

@@ -23,8 +23,7 @@ std::size_t vertex_chunks(vid_t n) { return (static_cast<std::size_t>(n) + kVert
 
 CsrGraph build_csr_parallel(vid_t num_vertices,
                             const std::vector<EdgeList>& shards,
-                            support::ThreadPool& pool,
-                            const BuildOptions& opts) {
+                            support::ThreadPool& pool) {
   const std::size_t n = num_vertices;
   const std::size_t nchunks = vertex_chunks(num_vertices);
 
@@ -40,9 +39,9 @@ CsrGraph build_csr_parallel(vid_t num_vertices,
     for (const Edge& e : shards[s]) {
       SPECKLE_CHECK(e.src < num_vertices && e.dst < num_vertices,
                     "edge endpoint out of range");
-      if (opts.remove_self_loops && e.src == e.dst) continue;
+      if (e.src == e.dst) continue;
       cursor[e.src].fetch_add(1, std::memory_order_relaxed);
-      if (opts.symmetrize) cursor[e.dst].fetch_add(1, std::memory_order_relaxed);
+      cursor[e.dst].fetch_add(1, std::memory_order_relaxed);
     }
   });
 
@@ -68,19 +67,17 @@ CsrGraph build_csr_parallel(vid_t num_vertices,
   std::vector<vid_t> col(total);
   pool.parallel_for_deterministic(shards.size(), [&](std::size_t s, unsigned) {
     for (const Edge& e : shards[s]) {
-      if (opts.remove_self_loops && e.src == e.dst) continue;
+      if (e.src == e.dst) continue;
       col[cursor[e.src].fetch_add(1, std::memory_order_relaxed)] = e.dst;
-      if (opts.symmetrize) {
-        col[cursor[e.dst].fetch_add(1, std::memory_order_relaxed)] = e.src;
-      }
+      col[cursor[e.dst].fetch_add(1, std::memory_order_relaxed)] = e.src;
     }
   });
 
-  // -- 4. canonicalize: sort each adjacency list (and mark the kept prefix
-  // when deduplicating). Per-row work only touches that row's slots, so
-  // the result depends on the per-row multiset alone — bit-identical to
-  // the serial sort-the-whole-edge-list build at any thread count.
-  std::vector<eid_t> kept(opts.remove_duplicates ? n : 0);
+  // -- 4. canonicalize: sort each adjacency list and mark its deduplicated
+  // prefix. Per-row work only touches that row's slots, so the result
+  // depends on the per-row multiset alone — bit-identical to the serial
+  // sort-the-whole-edge-list build at any thread count.
+  std::vector<eid_t> kept(n);
   pool.parallel_for_deterministic(nchunks, [&](std::size_t c, unsigned) {
     const std::size_t lo = c * kVertexGrain;
     const std::size_t hi = std::min(n, lo + kVertexGrain);
@@ -88,12 +85,9 @@ CsrGraph build_csr_parallel(vid_t num_vertices,
       vid_t* first = col.data() + row[v];
       vid_t* last = col.data() + row[v + 1];
       std::sort(first, last);
-      if (opts.remove_duplicates) {
-        kept[v] = static_cast<eid_t>(std::unique(first, last) - first);
-      }
+      kept[v] = static_cast<eid_t>(std::unique(first, last) - first);
     }
   });
-  if (!opts.remove_duplicates) return CsrGraph(std::move(row), std::move(col));
 
   // -- 5. compact the deduplicated rows into their final offsets.
   std::vector<eid_t> final_row(n + 1, 0);

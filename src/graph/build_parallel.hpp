@@ -14,8 +14,10 @@
 ///   2. offsets  — serial exclusive prefix sum (O(n), never the bottleneck)
 ///   3. fill     — parallel over shards: each edge claims a slot in its row
 ///                 with fetch_add and writes its column index
-///   4. canon    — parallel over vertex ranges: sort each adjacency list
-///                 (and deduplicate + compact when requested)
+///   4. canon    — parallel over vertex ranges: sort and deduplicate each
+///                 adjacency list
+///   5. compact  — parallel over vertex ranges: move the deduplicated rows
+///                 to their final offsets
 ///
 /// Step 3's intra-row order is schedule-dependent, but step 4 erases it:
 /// the final arrays depend only on the per-row edge multisets, so the
@@ -32,14 +34,13 @@
 namespace speckle::graph {
 
 /// Build a CSR graph from edge shards. Equivalent to
-/// `build_csr(num_vertices, concat(shards), opts)` — same cleanup
+/// `build_csr(num_vertices, concat(shards))` — same cleanup
 /// (symmetrization, self-loop removal, dedup, sorted adjacency), same
 /// bytes — but counting-sort based and parallel over `pool`. Shards may be
 /// empty and may hold duplicate or self-loop edges; endpoints >=
 /// num_vertices abort. Deterministic at any pool concurrency.
 CsrGraph build_csr_parallel(vid_t num_vertices,
                             const std::vector<EdgeList>& shards,
-                            support::ThreadPool& pool,
-                            const BuildOptions& opts = {});
+                            support::ThreadPool& pool);
 
 }  // namespace speckle::graph

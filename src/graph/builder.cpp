@@ -6,27 +6,21 @@
 
 namespace speckle::graph {
 
-CsrGraph build_csr(vid_t num_vertices, EdgeList edges, const BuildOptions& opts) {
+CsrGraph build_csr(vid_t num_vertices, EdgeList edges) {
   for (const Edge& e : edges) {
     SPECKLE_CHECK(e.src < num_vertices && e.dst < num_vertices,
                   "edge endpoint out of range");
   }
-  if (opts.symmetrize) {
-    const std::size_t original = edges.size();
-    edges.reserve(original * 2);
-    for (std::size_t i = 0; i < original; ++i) {
-      edges.push_back({edges[i].dst, edges[i].src});
-    }
+  const std::size_t original = edges.size();
+  edges.reserve(original * 2);
+  for (std::size_t i = 0; i < original; ++i) {
+    edges.push_back({edges[i].dst, edges[i].src});
   }
-  if (opts.remove_self_loops) {
-    std::erase_if(edges, [](const Edge& e) { return e.src == e.dst; });
-  }
+  std::erase_if(edges, [](const Edge& e) { return e.src == e.dst; });
   std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
     return a.src != b.src ? a.src < b.src : a.dst < b.dst;
   });
-  if (opts.remove_duplicates) {
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  }
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
 
   std::vector<eid_t> row_offsets(static_cast<std::size_t>(num_vertices) + 1, 0);
   for (const Edge& e : edges) ++row_offsets[e.src + 1];
@@ -36,15 +30,6 @@ CsrGraph build_csr(vid_t num_vertices, EdgeList edges, const BuildOptions& opts)
   std::vector<vid_t> col_indices(edges.size());
   for (std::size_t i = 0; i < edges.size(); ++i) col_indices[i] = edges[i].dst;
   return CsrGraph(std::move(row_offsets), std::move(col_indices));
-}
-
-EdgeList to_edge_list(const CsrGraph& g) {
-  EdgeList edges;
-  edges.reserve(g.num_edges());
-  for (vid_t v = 0; v < g.num_vertices(); ++v) {
-    for (vid_t w : g.neighbors(v)) edges.push_back({v, w});
-  }
-  return edges;
 }
 
 }  // namespace speckle::graph

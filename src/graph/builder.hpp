@@ -26,17 +26,10 @@ struct Edge {
 
 using EdgeList = std::vector<Edge>;
 
-struct BuildOptions {
-  bool symmetrize = true;       ///< add the reverse of every edge
-  bool remove_self_loops = true;
-  bool remove_duplicates = true;
-};
-
-/// Build a CSR graph over `num_vertices` vertices from an edge list.
-/// Edges referencing vertices >= num_vertices abort. O(m log m).
-CsrGraph build_csr(vid_t num_vertices, EdgeList edges, const BuildOptions& opts = {});
-
-/// Extract the (directed) edge list of a CSR graph, in CSR order.
-EdgeList to_edge_list(const CsrGraph& g);
+/// Build a CSR graph over `num_vertices` vertices from an edge list: the
+/// reverse of every edge is added, self loops and duplicates are dropped,
+/// and each adjacency list is sorted. Edges referencing vertices >=
+/// num_vertices abort. O(m log m).
+CsrGraph build_csr(vid_t num_vertices, EdgeList edges);
 
 }  // namespace speckle::graph

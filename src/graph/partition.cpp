@@ -3,14 +3,12 @@
 #include <algorithm>
 
 #include "support/check.hpp"
-#include "support/rng.hpp"
 
 namespace speckle::graph {
 
 const char* partition_kind_name(PartitionKind kind) {
   switch (kind) {
     case PartitionKind::kContiguous: return "contiguous";
-    case PartitionKind::kHash: return "hash";
     case PartitionKind::kBfsBlocks: return "bfs";
   }
   return "?";
@@ -18,10 +16,9 @@ const char* partition_kind_name(PartitionKind kind) {
 
 PartitionKind partition_kind_from_name(const std::string& name) {
   if (name == "contiguous") return PartitionKind::kContiguous;
-  if (name == "hash") return PartitionKind::kHash;
   if (name == "bfs") return PartitionKind::kBfsBlocks;
   SPECKLE_CHECK(false,
-                "unknown partitioner '" + name + "' (contiguous, hash, bfs)");
+                "unknown partitioner '" + name + "' (contiguous, bfs)");
   return PartitionKind::kContiguous;
 }
 
@@ -79,11 +76,8 @@ std::vector<std::uint32_t> bfs_block_owners(const CsrGraph& g,
 }  // namespace
 
 Partition make_partition(const CsrGraph& g, std::uint32_t parts,
-                         PartitionKind kind, std::uint64_t seed) {
+                         PartitionKind kind) {
   SPECKLE_CHECK(parts >= 1, "partition needs at least one part");
-  SPECKLE_CHECK(seed != 0,
-                "seed 0 is reserved (it collapses the repo's derived-seed "
-                "products); pass a nonzero seed");
   const vid_t n = g.num_vertices();
   Partition p;
   p.kind = kind;
@@ -97,12 +91,9 @@ Partition make_partition(const CsrGraph& g, std::uint32_t parts,
   }
   for (vid_t v = 0; v < n; ++v) {
     const std::uint32_t k =
-        kind == PartitionKind::kBfsBlocks ? p.owner[v]
-        : kind == PartitionKind::kContiguous
-            ? static_cast<std::uint32_t>(static_cast<std::uint64_t>(v) * parts / n)
-            : static_cast<std::uint32_t>(
-                  support::mix64(seed ^ (0x9e3779b97f4a7c15ULL * (v + 1ULL))) %
-                  parts);
+        kind == PartitionKind::kBfsBlocks
+            ? p.owner[v]
+            : static_cast<std::uint32_t>(static_cast<std::uint64_t>(v) * parts / n);
     p.owner[v] = k;
     p.local_index[v] = static_cast<vid_t>(p.shards[k].owned.size());
     p.shards[k].owned.push_back(v);  // ascending: v iterates in global order

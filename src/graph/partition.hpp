@@ -10,12 +10,9 @@
 ///     the shard-local CSR are empty (a device never iterates a ghost's
 ///     adjacency; it only reads the ghost's color).
 ///
-/// Three partitioners:
+/// Two partitioners:
 ///   * contiguous — part k owns the global id range [k*n/P, (k+1)*n/P);
 ///     preserves generator locality, minimal cut on banded/stencil graphs;
-///   * hash       — owner(v) = mix64(seed ^ f(v)) mod P; destroys locality
-///     but balances skewed degree distributions, and is the adversarial
-///     case for the boundary-exchange machinery (most edges become cut);
 ///   * bfs        — edge-cut-aware BFS-grown blocks: vertices are visited
 ///     in multi-source BFS order (restarting from the lowest unvisited id,
 ///     so disconnected graphs work) and assigned to parts along that order,
@@ -25,9 +22,7 @@
 ///     graphs whose id order carries no locality (the R-MAT suite members);
 ///     degree balancing keeps skewed shards from serializing the fleet.
 ///
-/// All three are deterministic; hash additionally takes a nonzero seed
-/// (seed 0 is rejected loudly — it collapses the derived-seed products
-/// used throughout the repo, see make_suite_graph).
+/// Both are deterministic functions of (graph, P).
 ///
 /// Each shard also classifies its owned vertices into **boundary** (at
 /// least one cross-partition neighbor, i.e. at least one ghost in its
@@ -47,12 +42,11 @@ namespace speckle::graph {
 
 enum class PartitionKind {
   kContiguous,
-  kHash,
   kBfsBlocks,
 };
 
 const char* partition_kind_name(PartitionKind kind);
-/// Lookup by name ("contiguous" / "hash" / "bfs"); aborts on unknown names.
+/// Lookup by name ("contiguous" / "bfs"); aborts on unknown names.
 PartitionKind partition_kind_from_name(const std::string& name);
 
 /// One device's slice of the graph.
@@ -76,7 +70,6 @@ struct Shard {
   vid_t num_owned() const { return static_cast<vid_t>(owned.size()); }
   vid_t num_ghosts() const { return static_cast<vid_t>(ghosts.size()); }
   vid_t num_local() const { return num_owned() + num_ghosts(); }
-  vid_t num_interior() const { return num_owned() - num_boundary; }
   bool is_boundary(vid_t local) const { return boundary_flag[local] != 0; }
 };
 
@@ -96,10 +89,9 @@ struct Partition {
   void validate(const CsrGraph& g) const;
 };
 
-/// Partition `g` into `parts` shards. `seed` feeds the hash partitioner
-/// (ignored by contiguous) and must be nonzero. Deterministic for a given
-/// (graph, parts, kind, seed).
+/// Partition `g` into `parts` shards. Deterministic for a given
+/// (graph, parts, kind).
 Partition make_partition(const CsrGraph& g, std::uint32_t parts,
-                         PartitionKind kind, std::uint64_t seed = 0x5eed);
+                         PartitionKind kind);
 
 }  // namespace speckle::graph

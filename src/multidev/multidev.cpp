@@ -86,7 +86,7 @@ MultiDevResult multidev_color(const graph::CsrGraph& g, const MultiDevOptions& o
 
   MultiDevResult result;
   const graph::Partition part =
-      graph::make_partition(g, parts, opts.partitioner, opts.seed);
+      graph::make_partition(g, parts, opts.partitioner);
   result.cut_edges = part.cut_edges;
 
   // --- bring up the fleet ---------------------------------------------------
@@ -258,8 +258,8 @@ MultiDevResult multidev_color(const graph::CsrGraph& g, const MultiDevOptions& o
   };
 
   while (std::any_of(nodes.begin(), nodes.end(), live)) {
-    SPECKLE_CHECK(result.iterations < opts.max_rounds,
-                  "multidev_color exceeded max_rounds");
+    SPECKLE_CHECK(result.iterations < coloring::kMaxRounds,
+                  "multidev_color exceeded kMaxRounds");
     ++result.iterations;
     prof::ExchangeRound round_stats;
     round_stats.round = result.iterations;

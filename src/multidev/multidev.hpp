@@ -92,7 +92,6 @@ struct MultiDevOptions {
   std::uint32_t block_size = 128;
   bool use_ldg = false;     ///< route topology (and l2g) reads via the RO cache
   bool scan_push = true;    ///< prefix-sum worklist push (false: per-item atomics)
-  std::uint32_t max_rounds = 100000;
   /// Boundary deferral window (opt-in quality knob): during the first
   /// `defer_rounds` rounds a boundary vertex yields to any
   /// higher-priority UNCOLORED ghost neighbor (hub-first,
@@ -104,7 +103,7 @@ struct MultiDevOptions {
   /// so the window default is 0 and callers chasing the last colors turn
   /// it up (3 recovers the single-device count on rmat-g at P=4).
   std::uint32_t defer_rounds = 0;
-  std::uint64_t seed = 0x5eed;  ///< hash partitioner seed; must be nonzero
+  std::uint64_t seed = 0x5eed;  ///< salt of the deferral-priority id hash
   /// Per-device machine model; every device in the fleet is identical.
   simt::DeviceConfig device = simt::DeviceConfig::k20c();
   /// Host-side invariant check after every exchange: each ghost slot must

@@ -83,35 +83,6 @@ std::vector<KernelAggregate> Report::by_kernel() const {
   return out;
 }
 
-std::vector<BufferCounters> Report::buffer_totals() const {
-  std::vector<BufferCounters> out;
-  for (const LaunchProfile& lp : launches) {
-    for (const BufferCounters& bc : lp.buffers) {
-      auto it = std::find_if(out.begin(), out.end(), [&](const BufferCounters& o) {
-        return o.name == bc.name && o.base == bc.base;
-      });
-      if (it == out.end()) {
-        out.push_back(bc);
-      } else {
-        it->ld_transactions += bc.ld_transactions;
-        it->ldg_transactions += bc.ldg_transactions;
-        it->st_transactions += bc.st_transactions;
-        it->requests += bc.requests;
-        it->atomics += bc.atomics;
-      }
-    }
-  }
-  return out;
-}
-
-std::uint64_t Report::total_blocks(const std::string& kernel) const {
-  std::uint64_t blocks = 0;
-  for (const LaunchProfile& lp : launches) {
-    if (lp.kernel == kernel) blocks += lp.blocks;
-  }
-  return blocks;
-}
-
 void Profiler::on_alloc(std::uint64_t base, std::uint64_t bytes, std::string name) {
   // Inserting shifts registry indices, so retire the previous launch's slot
   // marks while the indices in `touched_` are still valid. (Allocation is a

@@ -204,11 +204,6 @@ struct Report {
 
   /// Aggregate launches by kernel name, first-seen order.
   std::vector<KernelAggregate> by_kernel() const;
-  /// Aggregate per-buffer counters by buffer name over every launch.
-  std::vector<BufferCounters> buffer_totals() const;
-  /// Sum of `blocks` over every launch of `kernel` (for atomics-per-block
-  /// readings).
-  std::uint64_t total_blocks(const std::string& kernel) const;
 
   /// Deterministic multi-line text rendering (the `--profile` console
   /// report). Contains only simulated quantities — golden-diffable.

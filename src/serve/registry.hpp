@@ -10,7 +10,7 @@
 /// and no session can observe a torn/partial graph because the future only
 /// becomes ready with a fully constructed CsrGraph. A generator that
 /// throws propagates the exception to every waiter and evicts the entry,
-/// so a later LOAD can retry (e.g. a file that has appeared since).
+/// so a later LOAD can retry.
 ///
 /// Sessions never mutate registry graphs: MUTATE copies-on-write into
 /// session-local state (session.hpp), so the dedup is safe across

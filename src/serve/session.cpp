@@ -8,7 +8,6 @@
 #include "coloring/refine.hpp"
 #include "graph/analysis.hpp"
 #include "graph/cache.hpp"
-#include "graph/matrix_market.hpp"
 #include "graph/mutate.hpp"
 #include "graph/suite.hpp"
 #include "support/deadline.hpp"
@@ -77,8 +76,9 @@ std::vector<std::uint8_t> Session::do_load(std::uint32_t request_id,
   if (!body.done()) {
     return make_error(Status::kBadRequest, request_id, "malformed LOAD body");
   }
-  if (key.empty()) {
-    return make_error(Status::kBadRequest, request_id, "empty graph key");
+  if (graph::find_suite_entry(key) == nullptr) {
+    return make_error(Status::kBadRequest, request_id,
+                      "unknown suite graph '" + key + "'");
   }
   if (!graph::valid_suite_denom(denom)) {
     return make_error(Status::kBadRequest, request_id,
@@ -87,28 +87,20 @@ std::vector<std::uint8_t> Session::do_load(std::uint32_t request_id,
                           : "denom must be a power of two");
   }
 
-  const bool suite = graph::find_suite_entry(key) != nullptr;
-  if (suite && seed == 0) {
+  if (seed == 0) {
     return make_error(Status::kBadRequest, request_id,
                       "suite seed 0 is reserved; pass a nonzero seed");
   }
 
-  // Suite graphs dedup on the full generation key; files on the path (the
-  // denom only scales the simulated device, not the file contents).
+  // Graphs dedup on the full generation key.
   const std::string registry_key =
-      suite ? "suite:" + key + "/" + std::to_string(denom) + "/" +
-                  std::to_string(seed)
-            : "file:" + key;
+      key + "/" + std::to_string(denom) + "/" + std::to_string(seed);
   GraphRegistry::LoadResult loaded;
   try {
     loaded = registry_.load(registry_key, [&]() -> GraphRegistry::GraphPtr {
-      if (suite) {
-        return std::make_shared<const graph::CsrGraph>(
-            graph::make_suite_graph_cached(key, denom, seed,
-                                           config_.graph_cache));
-      }
       return std::make_shared<const graph::CsrGraph>(
-          graph::read_matrix_market(key));
+          graph::make_suite_graph_cached(key, denom, seed,
+                                         config_.graph_cache));
     });
   } catch (const std::exception& e) {
     return make_error(Status::kLoadFailed, request_id, e.what());
@@ -116,9 +108,7 @@ std::vector<std::uint8_t> Session::do_load(std::uint32_t request_id,
 
   GraphState state;
   state.base = loaded.graph;
-  state.key = key;
   state.denom = denom;
-  state.seed = suite ? seed : 0;
   state.device = simt::DeviceConfig::k20c().scaled(denom);
   state.device.host_threads = config_.host_threads;
   support::check_deadline();
@@ -167,10 +157,8 @@ std::vector<std::uint8_t> Session::do_color(std::uint32_t request_id,
     coloring::RunResult r =
         coloring::run_scheme(*scheme, state->current(), opts);
     if (refine) {
-      coloring::RefineOptions ro;
-      ro.rounds = config_.refine_rounds > 0 ? config_.refine_rounds : 4;
       coloring::RefineResult rr = coloring::iterated_greedy(
-          state->current(), std::move(r.coloring), ro);
+          state->current(), std::move(r.coloring));
       r.coloring = std::move(rr.coloring);
       r.num_colors = rr.colors_after;
     }
@@ -296,8 +284,6 @@ std::vector<std::uint8_t> Session::do_mutate(std::uint32_t request_id,
     opts.block_size = config_.block_size;
     opts.use_ldg = true;
     opts.device = state->device;
-    opts.full_threshold = config_.full_threshold;
-    opts.refine_rounds = config_.refine_rounds;
     r = coloring::recolor_region(outcome.graph, state->coloring, dirty, opts);
   }
   support::check_deadline();

@@ -13,7 +13,7 @@
 ///          → coloring::dirty_from_inserts (which endpoints a new conflict
 ///            invalidates — deletions never invalidate)
 ///          → coloring::recolor_region (incremental when the dirty region
-///            is under full_threshold of V, from-scratch otherwise)
+///            is under kFullRecolorFraction of V, from-scratch otherwise)
 /// Every response carries only simulated/model quantities — never wall
 /// clock — so a trace replay is bit-identical at any --threads count.
 ///
@@ -46,10 +46,8 @@ namespace speckle::serve {
 /// Knobs a Session inherits from the server's command line.
 struct SessionConfig {
   std::uint32_t block_size = 128;
-  std::uint32_t host_threads = 1;   ///< simulator host threads per request
-  std::uint32_t refine_rounds = 0;  ///< iterated-greedy rounds after recolor
-  double full_threshold = 0.10;     ///< dirty fraction forcing full recolor
-  std::string graph_cache;          ///< on-disk CSR cache dir ("" = off)
+  std::uint32_t host_threads = 1;  ///< simulator host threads per request
+  std::string graph_cache;         ///< on-disk CSR cache dir ("" = off)
 };
 
 /// Counters STATS reports; all per-session except the registry views.
@@ -80,9 +78,7 @@ class Session {
   struct GraphState {
     std::shared_ptr<const graph::CsrGraph> base;
     std::optional<graph::CsrGraph> mutated;
-    std::string key;
     std::uint32_t denom = 1;
-    std::uint64_t seed = 0;
     simt::DeviceConfig device;
 
     bool colored = false;

@@ -38,10 +38,4 @@ StallBreakdown DeviceReport::aggregate_stalls() const {
   return agg;
 }
 
-std::uint64_t DeviceReport::total_kernel_cycles() const {
-  std::uint64_t sum = 0;
-  for (const KernelStats& k : kernels) sum += k.cycles;
-  return sum;
-}
-
 }  // namespace speckle::simt

@@ -111,7 +111,6 @@ struct DeviceReport {
 
   /// Aggregate stall breakdown over all kernels (weighted by SM-cycles).
   StallBreakdown aggregate_stalls() const;
-  std::uint64_t total_kernel_cycles() const;
   double ms(const DeviceConfig& dev) const { return dev.cycles_to_ms(total_cycles); }
 };
 

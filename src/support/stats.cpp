@@ -15,12 +15,6 @@ Summary summarize(std::span<const double> values) {
   return acc.summary();
 }
 
-Summary summarize_u32(std::span<const std::uint32_t> values) {
-  Accumulator acc;
-  for (std::uint32_t v : values) acc.add(static_cast<double>(v));
-  return acc.summary();
-}
-
 double geomean(std::span<const double> values) {
   if (values.empty()) return 0.0;
   double log_sum = 0.0;

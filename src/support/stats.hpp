@@ -22,7 +22,6 @@ struct Summary {
 
 /// Summarise a span of values. Empty input yields a zeroed Summary.
 Summary summarize(std::span<const double> values);
-Summary summarize_u32(std::span<const std::uint32_t> values);
 
 /// Geometric mean; all values must be positive. Used for "average speedup"
 /// rows, matching common practice for normalized ratios.

@@ -33,12 +33,4 @@ class Timer {
   Clock::time_point start_;
 };
 
-/// Time a callable and return (result unused) elapsed seconds.
-template <typename F>
-double time_seconds(F&& fn) {
-  Timer t;
-  fn();
-  return t.seconds();
-}
-
 }  // namespace speckle::support

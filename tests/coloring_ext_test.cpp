@@ -105,35 +105,11 @@ TEST(DataLdf, Deterministic) {
             run_scheme(Scheme::kDataLdf, g).coloring);
 }
 
-TEST(Gm3Step, PartitionSizeSweepStaysProper) {
-  const CsrGraph g = ext_er();
-  for (std::uint32_t psize : {16U, 64U, 128U, 512U}) {
-    Gm3Options opts;
-    opts.partition_size = psize;
-    const Gm3Result r = gm3step_color(g, opts);
-    EXPECT_TRUE(IsProperColoring(g, r.coloring)) << psize;
-  }
-}
-
-TEST(Gm3Step, MoreGpuRoundsLeaveFewerCpuConflicts) {
-  const CsrGraph g = ext_er();
-  Gm3Options one;
-  one.gpu_rounds = 1;
-  Gm3Options four;
-  four.gpu_rounds = 4;
-  const Gm3Result r1 = gm3step_color(g, one);
-  const Gm3Result r4 = gm3step_color(g, four);
-  EXPECT_TRUE(IsProperColoring(g, r1.coloring));
-  EXPECT_TRUE(IsProperColoring(g, r4.coloring));
-  EXPECT_LE(r4.cpu_resolved, r1.cpu_resolved);
-}
-
 TEST(Gm3Step, SinglePartitionIsSequentialOnDevice) {
   // One partition = one thread colors everything: no conflicts possible.
   const CsrGraph g = spec_graph("er:n=128,edges=512,seed=3");
-  Gm3Options opts;
-  opts.partition_size = 128;
-  const Gm3Result r = gm3step_color(g, opts);
+  static_assert(kGm3PartitionSize == 128);
+  const Gm3Result r = gm3step_color(g);
   EXPECT_EQ(r.cpu_resolved, 0U);
   const auto seq = seq_greedy(g, {.charge_model = false});
   EXPECT_EQ(r.num_colors, seq.num_colors);

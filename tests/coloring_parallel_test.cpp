@@ -83,12 +83,6 @@ TEST(JonesPlassmann, SeedChangesColoring) {
   EXPECT_NE(a.coloring, b.coloring);
 }
 
-TEST(JonesPlassmann, RedrawVariantAlsoProper) {
-  const CsrGraph g = make_rmat();
-  const JpResult r = jones_plassmann(g, {.seed = 1, .redraw_priorities = true});
-  EXPECT_TRUE(IsProperColoring(g, r.coloring));
-}
-
 TEST(JonesPlassmann, EmptyGraph) {
   const JpResult r = jones_plassmann(CsrGraph());
   EXPECT_EQ(r.num_colors, 0U);

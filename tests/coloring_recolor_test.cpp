@@ -59,10 +59,17 @@ TEST(RecolorRegion, WholeGraphDirtyEqualsFromScratch) {
 }
 
 TEST(RecolorRegion, SingleEdgeConflictRecolorsOneVertex) {
-  // 0-1-2-3 path colored properly, then edge (0,2) appears: 0 and 2 share
-  // a color, the lower id (0) is invalidated.
-  const CsrGraph before = graph::build_csr(4, {{0, 1}, {1, 2}, {2, 3}});
-  const Coloring base = {1, 2, 1, 2};
+  // 0-1-...-11 path colored properly, then edge (0,2) appears: 0 and 2
+  // share a color, the lower id (0) is invalidated. 1 of 12 dirty stays
+  // under kFullRecolorFraction, so the path is incremental.
+  constexpr vid_t n = 12;
+  graph::EdgeList edges;
+  Coloring base;
+  for (vid_t v = 0; v < n; ++v) {
+    if (v + 1 < n) edges.push_back({v, v + 1});
+    base.push_back(v % 2 + 1);
+  }
+  const CsrGraph before = graph::build_csr(n, std::move(edges));
   ASSERT_TRUE(IsProperColoring(before, base));
 
   const graph::MutationOutcome mut = graph::apply_mutations(
@@ -70,14 +77,12 @@ TEST(RecolorRegion, SingleEdgeConflictRecolorsOneVertex) {
   const std::vector<vid_t> dirty = dirty_from_inserts(base, mut.inserted);
   ASSERT_EQ(dirty, (std::vector<vid_t>{0}));
 
-  RecolorOptions opts = small_opts();
-  opts.full_threshold = 0.5;  // 1 of 4 dirty stays incremental
-  const RecolorResult r = recolor_region(mut.graph, base, dirty, opts);
+  const RecolorResult r = recolor_region(mut.graph, base, dirty, small_opts());
   EXPECT_FALSE(r.full);
   EXPECT_EQ(r.iterations, 1U);
   EXPECT_TRUE(IsProperColoring(mut.graph, r.coloring));
   // Only the dirty vertex may change.
-  for (vid_t v = 1; v < 4; ++v) EXPECT_EQ(r.coloring[v], base[v]);
+  for (vid_t v = 1; v < n; ++v) EXPECT_EQ(r.coloring[v], base[v]);
   EXPECT_NE(r.coloring[0], r.coloring[1]);
   EXPECT_NE(r.coloring[0], r.coloring[2]);
 }
@@ -86,46 +91,41 @@ TEST(RecolorRegion, ThresholdForcesFullFallback) {
   const CsrGraph g = graph::make_suite_graph("Hamrle3", 1024, 0x5eed);
   const GpuResult base = data_color(g, small_opts());
 
-  RecolorOptions opts = small_opts();
-  opts.full_threshold = 0.0;  // any dirty vertex trips the fallback
-  const RecolorResult r = recolor_region(g, base.coloring, {{0}}, opts);
-  EXPECT_TRUE(r.full);
-  EXPECT_TRUE(IsProperColoring(g, r.coloring));
-  EXPECT_EQ(r.coloring, data_color(g, small_opts()).coloring);
+  // The largest dirty set at most kFullRecolorFraction of n stays
+  // incremental; one more vertex trips the from-scratch fallback.
+  const auto at_most = static_cast<vid_t>(kFullRecolorFraction *
+                                          static_cast<double>(g.num_vertices()));
+  ASSERT_GT(at_most, 1U);
+  std::vector<vid_t> dirty(at_most);
+  for (vid_t i = 0; i < at_most; ++i) dirty[i] = i;
+  const RecolorResult under = recolor_region(g, base.coloring, dirty, small_opts());
+  EXPECT_FALSE(under.full);
+  EXPECT_TRUE(IsProperColoring(g, under.coloring));
+
+  dirty.push_back(at_most);
+  const RecolorResult over = recolor_region(g, base.coloring, dirty, small_opts());
+  EXPECT_TRUE(over.full);
+  EXPECT_TRUE(IsProperColoring(g, over.coloring));
+  EXPECT_EQ(over.coloring, base.coloring);  // from scratch == data_color
 }
 
 TEST(RecolorRegion, CleanNeighborsKeepTheirColors) {
-  // Star: center 0 with leaves 1..5, center dirty. The leaves are clean and
-  // must come through untouched; the center must pick a non-leaf color.
+  // Star: center 0 with leaves 1..10, center dirty (1 of 11, under
+  // kFullRecolorFraction). The leaves are clean and must come through
+  // untouched; the center must pick a non-leaf color.
   graph::EdgeList edges;
-  for (vid_t leaf = 1; leaf <= 5; ++leaf) edges.push_back({0, leaf});
-  const CsrGraph g = graph::build_csr(6, std::move(edges));
-  const Coloring base = {1, 1, 2, 2, 1, 2};  // center conflicts with 1 and 4
+  Coloring base = {1};  // center conflicts with the odd leaves
+  for (vid_t leaf = 1; leaf <= 10; ++leaf) {
+    edges.push_back({0, leaf});
+    base.push_back(2 - leaf % 2);
+  }
+  const CsrGraph g = graph::build_csr(11, std::move(edges));
 
-  RecolorOptions opts = small_opts();
-  opts.full_threshold = 0.5;
-  const RecolorResult r = recolor_region(g, base, {{0}}, opts);
+  const RecolorResult r = recolor_region(g, base, {{0}}, small_opts());
   EXPECT_FALSE(r.full);
   EXPECT_TRUE(IsProperColoring(g, r.coloring));
-  for (vid_t v = 1; v <= 5; ++v) EXPECT_EQ(r.coloring[v], base[v]);
+  for (vid_t v = 1; v <= 10; ++v) EXPECT_EQ(r.coloring[v], base[v]);
   EXPECT_EQ(r.coloring[0], 3U);  // first fit above the leaf colors {1, 2}
-}
-
-TEST(RecolorRegion, RefineRoundsNeverIncreaseColors) {
-  const CsrGraph g = graph::make_suite_graph("rmat-er", 1024, 0x5eed);
-  const GpuResult base = data_color(g, small_opts());
-
-  std::vector<vid_t> dirty;
-  for (vid_t v = 0; v < g.num_vertices(); v += 97) dirty.push_back(v);
-  RecolorOptions opts = small_opts();
-  opts.full_threshold = 1.0;
-  const RecolorResult unrefined = recolor_region(g, base.coloring, dirty, opts);
-  opts.refine_rounds = 2;
-  const RecolorResult r = recolor_region(g, base.coloring, dirty, opts);
-  EXPECT_TRUE(IsProperColoring(g, r.coloring));
-  // Refine (iterated greedy) never increases the count of the coloring the
-  // resolve phase produced.
-  EXPECT_LE(r.num_colors, unrefined.num_colors);
 }
 
 TEST(DirtyFromInserts, PicksLowerEndpointOfConflicts) {

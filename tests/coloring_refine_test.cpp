@@ -51,16 +51,6 @@ TEST(Refine, RecoversSpeculationLossOnSkewedGraph) {
   EXPECT_LE(r.colors_after, seq.num_colors + 2);
 }
 
-TEST(Refine, LargestFirstOrderAlsoValid) {
-  const CsrGraph g = spec_graph("localrand:n=800,deglo=1,deghi=6,window=60,seed=9");
-  const auto seq = seq_greedy(g, {.charge_model = false});
-  RefineOptions opts;
-  opts.order = ClassOrder::kLargestFirst;
-  const RefineResult r = iterated_greedy(g, seq.coloring, opts);
-  EXPECT_TRUE(IsProperColoring(g, r.coloring));
-  EXPECT_LE(r.colors_after, r.colors_before);
-}
-
 TEST(Refine, StopsEarlyWhenConverged) {
   const CsrGraph g = build_csr(10, ring_lattice(10, 1));
   const auto seq = seq_greedy(g, {.charge_model = false});  // already 2 colors

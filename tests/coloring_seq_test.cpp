@@ -144,14 +144,6 @@ TEST(Ordering, SmallestLastBeatsFirstFitOnSkewedGraph) {
   EXPECT_LE(seq_greedy(g, sl).num_colors, seq_greedy(g, ff).num_colors + 1);
 }
 
-TEST(Ordering, NamesRoundTrip) {
-  for (Ordering o : {Ordering::kFirstFit, Ordering::kLargestFirst,
-                     Ordering::kSmallestLast, Ordering::kRandom}) {
-    EXPECT_EQ(ordering_from_name(ordering_name(o)), o);
-  }
-  EXPECT_EQ(ordering_from_name("ff"), Ordering::kFirstFit);
-}
-
 TEST(Ordering, SmallestLastIsDegeneracyOrder) {
   // On a tree (degeneracy 1), smallest-last must 2-color.
   graph::EdgeList edges;

@@ -60,32 +60,10 @@ TEST(Builder, RemovesDuplicates) {
   EXPECT_EQ(g.num_edges(), 2U);
 }
 
-TEST(Builder, SymmetrizeOffKeepsDirection) {
-  BuildOptions opts;
-  opts.symmetrize = false;
-  const CsrGraph g = build_csr(3, {{0, 1}, {0, 2}}, opts);
-  EXPECT_EQ(g.num_edges(), 2U);
-  EXPECT_EQ(g.degree(0), 2U);
-  EXPECT_EQ(g.degree(1), 0U);
-  EXPECT_FALSE(g.is_symmetric());
-}
-
 TEST(Builder, IsolatedVerticesAllowed) {
   const CsrGraph g = build_csr(5, {{0, 1}});
   EXPECT_EQ(g.degree(4), 0U);
   EXPECT_EQ(g.neighbors(4).size(), 0U);
-}
-
-TEST(Builder, EdgeListRoundTrip) {
-  const CsrGraph g = triangle();
-  const EdgeList edges = to_edge_list(g);
-  BuildOptions opts;
-  opts.symmetrize = false;  // already symmetric
-  const CsrGraph h = build_csr(3, edges, opts);
-  EXPECT_EQ(h.num_edges(), g.num_edges());
-  for (vid_t v = 0; v < 3; ++v) {
-    EXPECT_EQ(h.degree(v), g.degree(v));
-  }
 }
 
 TEST(BuilderDeathTest, RejectsOutOfRangeEndpoint) {

@@ -9,12 +9,16 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <random>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "check_coloring.hpp"
 #include "graph/mutate.hpp"
@@ -110,6 +114,7 @@ std::string error_message(const std::vector<std::uint8_t>& response) {
 /// The STATS fields the deadline tests check.
 struct StatsView {
   std::uint64_t errors = 0;
+  std::uint64_t generations = 0;
   std::uint64_t mutations = 0;
   std::uint32_t handles = 0;
 };
@@ -119,7 +124,9 @@ StatsView read_stats(std::vector<std::uint8_t> response) {
   StatsView s;
   body.r().u64();  // requests
   s.errors = body.r().u64();
-  for (int i = 0; i < 5 + 4; ++i) body.r().u64();  // per-opcode .. recolors
+  for (int i = 0; i < 5 + 1; ++i) body.r().u64();  // per-opcode, graphs
+  s.generations = body.r().u64();
+  for (int i = 0; i < 2; ++i) body.r().u64();  // recolors
   s.mutations = body.r().u64();
   s.handles = body.r().u32();
   return s;
@@ -370,6 +377,35 @@ TEST(ServeSession, OversizedDenomIsABadRequestNotAnAbort) {
     EXPECT_EQ(status_of(responses[i]), Status::kBadRequest) << "LOAD " << i;
   }
   EXPECT_EQ(read_stats(responses[4]).errors, 4u);
+}
+
+TEST(ServeSession, LoadOfAFilePathIsABadRequestNotARead) {
+  // A real, readable Matrix Market file: LOAD must not open it.
+  const std::filesystem::path mtx =
+      std::filesystem::temp_directory_path() /
+      ("speckle_serve_load_" + std::to_string(::getpid()) + ".mtx");
+  {
+    std::ofstream out(mtx);
+    out << "%%MatrixMarket matrix coordinate pattern symmetric\n"
+           "3 3 2\n2 1\n3 2\n";
+  }
+  Server server(ServerOptions{});
+  MemoryStream stream;
+  stream.feed(make_frame(load_req(1, mtx.string(), 1, 7)));
+  stream.feed(make_frame(load_req(2, "/etc/passwd", 1, 7)));
+  stream.feed(make_frame(make_request(Opcode::kStats, 3)));
+  EXPECT_EQ(server.serve_stream(stream), 3u);
+  std::filesystem::remove(mtx);
+  const auto responses = split_frames(stream.output());
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_EQ(status_of(responses[0]), Status::kBadRequest);
+  EXPECT_EQ(error_message(responses[0]),
+            "unknown suite graph '" + mtx.string() + "'");
+  EXPECT_EQ(status_of(responses[1]), Status::kBadRequest);
+  EXPECT_EQ(error_message(responses[1]), "unknown suite graph '/etc/passwd'");
+  const StatsView stats = read_stats(responses[2]);
+  EXPECT_EQ(stats.generations, 0u);
+  EXPECT_EQ(stats.handles, 0u);
 }
 
 TEST(ServeSession, ShutdownDrainsWithTypedRefusal) {

@@ -147,14 +147,6 @@ TEST(Stats, PercentileInterpolates) {
   EXPECT_DOUBLE_EQ(percentile(values, 50), 25.0);
 }
 
-TEST(Stats, SummarizeU32) {
-  const std::vector<std::uint32_t> values = {3, 1, 2};
-  const Summary s = summarize_u32(values);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 3.0);
-  EXPECT_DOUBLE_EQ(s.mean, 2.0);
-}
-
 TEST(Table, AlignsColumnsAndCounts) {
   Table t({"name", "value"});
   t.row().cell("alpha").cell_u64(10);

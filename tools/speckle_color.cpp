@@ -7,7 +7,7 @@
 ///   speckle_color --graph=matrix.mtx [--scheme=D-ldg] [--block=128]
 ///                 [--out=colors.txt] [--balance] [--refine] [--distance2]
 ///                 [--profile] [--sanitize] [--check] [--seed=1] [--threads=N]
-///                 [--devices=P] [--partitioner=contiguous|hash|bfs]
+///                 [--devices=P] [--partitioner=contiguous|bfs]
 ///                 [--graph-cache=DIR]
 ///
 /// --devices=P shards the graph over P simulated GPUs (speckle::multidev;

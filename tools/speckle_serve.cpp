@@ -29,9 +29,6 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(opts.get_int("block-size", 128));
   server_opts.session.host_threads =
       static_cast<std::uint32_t>(opts.get_int("threads", 1));
-  server_opts.session.refine_rounds =
-      static_cast<std::uint32_t>(opts.get_int("refine-rounds", 0));
-  server_opts.session.full_threshold = opts.get_double("full-threshold", 0.10);
   server_opts.session.graph_cache = speckle::graph::resolve_graph_cache_dir(
       opts.get_string("graph-cache", ""));
   server_opts.timeout_ms =
@@ -39,8 +36,7 @@ int main(int argc, char** argv) {
   server_opts.accept_threads =
       static_cast<std::uint32_t>(opts.get_int("pool", 4));
   opts.validate({"stdio", "unix", "port", "block-size", "threads",
-                 "refine-rounds", "full-threshold", "graph-cache",
-                 "timeout-ms", "pool"});
+                 "graph-cache", "timeout-ms", "pool"});
 
   if ((stdio ? 1 : 0) + (unix_path.empty() ? 0 : 1) + (port != 0 ? 1 : 0) >
       1) {
