@@ -8,7 +8,6 @@
 #include "graph/cache.hpp"
 #include "graph/genspec.hpp"
 #include "graph/suite.hpp"
-#include "support/check.hpp"
 #include "support/threadpool.hpp"
 
 namespace speckle::bench {
@@ -28,24 +27,30 @@ coloring::RunOptions BenchContext::run_options() const {
 
 BenchContext parse_context(int argc, char** argv,
                            const std::vector<std::string>& extra_known) {
-  support::Options opts(argc, argv);
+  using support::Options;
+  Options opts(argc, argv);
   BenchContext ctx;
-  ctx.denom = static_cast<std::uint32_t>(opts.get_int("denom", 8));
-  ctx.block = static_cast<std::uint32_t>(opts.get_int("block", 128));
-  ctx.seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
-  ctx.threads = static_cast<std::uint32_t>(opts.get_int("threads", 0));
-  ctx.devices = static_cast<std::uint32_t>(opts.get_int("devices", 1));
-  ctx.partitioner =
-      graph::partition_kind_from_name(opts.get_string("partitioner", "contiguous"));
+  ctx.denom = opts.get_uint<std::uint32_t>("denom", 8);
+  ctx.block = opts.get_uint<std::uint32_t>("block", 128);
+  ctx.seed = opts.get_uint<std::uint64_t>("seed", 1);
+  ctx.threads = opts.get_uint<std::uint32_t>("threads", 0, support::kMaxThreads);
+  ctx.devices = opts.get_uint<std::uint32_t>("devices", 1);
+  ctx.partitioner = opts.get_choice("partitioner", "contiguous",
+                                    graph::find_partition_kind, "contiguous bfs");
   ctx.profile = opts.get_bool("profile", false);
   ctx.check = opts.get_bool("check", false);
   ctx.csv = opts.get_bool("csv", false);
   ctx.graph_cache =
       graph::resolve_graph_cache_dir(opts.get_string("graph-cache", ""));
-  SPECKLE_CHECK(ctx.seed != 0,
-                "--seed=0 is reserved (benches derive sub-seeds as seed*k "
-                "products); pass a nonzero seed");
-  SPECKLE_CHECK(ctx.devices >= 1, "--devices needs at least 1");
+  if (ctx.seed == 0) {
+    Options::reject("seed", "0 is reserved (benches derive sub-seeds as "
+                            "seed*k products); pass a nonzero seed");
+  }
+  if (ctx.devices == 0) Options::reject("devices", "needs at least 1");
+  if (!coloring::valid_block_size(ctx.block)) {
+    Options::reject("block", "expects a power of two in [32, 1024], got " +
+                                 std::to_string(ctx.block));
+  }
 
   const std::string graphs = opts.get_string("graphs", "");
   if (graphs.empty()) {
@@ -68,9 +73,17 @@ BenchContext parse_context(int argc, char** argv,
     for (const std::string& entry : ctx.graphs) {
       if (entry.find(':') != std::string::npos) {
         graph::parse_generator_spec(entry, ctx.seed);  // aborts on bad specs
-      } else {
-        graph::suite_entry(entry);  // aborts on unknown names
+      } else if (graph::find_suite_entry(entry) == nullptr) {
+        Options::reject("graphs", "unknown suite graph '" + entry +
+                                      "'; accepted: " + graph::suite_names() +
+                                      ", or a model:key=value spec");
       }
+    }
+  }
+  for (const std::string& entry : ctx.graphs) {
+    if (entry.find(':') == std::string::npos && !graph::valid_suite_denom(ctx.denom)) {
+      Options::reject("denom", "suite graphs need a power of two <= 2^19, got " +
+                                   std::to_string(ctx.denom));
     }
   }
 

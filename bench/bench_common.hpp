@@ -59,7 +59,8 @@ struct BenchContext {
   coloring::RunOptions run_options() const;
 };
 
-/// Parse the shared flags; aborts on unknown options beyond `extra_known`.
+/// Parse the shared flags; exits 2 on unknown options beyond `extra_known`
+/// and on malformed values.
 BenchContext parse_context(int argc, char** argv,
                            const std::vector<std::string>& extra_known = {});
 

@@ -19,9 +19,8 @@ int main(int argc, char** argv) {
   using coloring::Scheme;
   const bench::BenchContext ctx =
       bench::parse_context(argc, argv, {"scheme"});
-  support::Options raw(argc, argv);
-  const Scheme scheme =
-      coloring::scheme_from_name(raw.get_string("scheme", "D-base"));
+  const Scheme scheme = support::Options(argc, argv).get_choice(
+      "scheme", "D-base", coloring::find_scheme, coloring::scheme_names());
   bench::print_banner(std::string("Fig 8: thread-block size sweep (") +
                           coloring::scheme_name(scheme) + ")",
                       ctx);

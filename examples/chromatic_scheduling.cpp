@@ -61,9 +61,10 @@ double gs_sweep(const CsrGraph& g, const std::vector<double>& b,
 
 int main(int argc, char** argv) {
   support::Options opts(argc, argv);
-  const auto n = static_cast<vid_t>(opts.get_int("n", 256));
-  const auto sweeps = static_cast<std::uint32_t>(opts.get_int("sweeps", 50));
-  const std::string scheme_name = opts.get_string("scheme", "D-ldg");
+  const auto n = opts.get_uint<vid_t>("n", 256);
+  const auto sweeps = opts.get_uint<std::uint32_t>("sweeps", 50);
+  const coloring::Scheme scheme = opts.get_choice(
+      "scheme", "D-ldg", coloring::find_scheme, coloring::scheme_names());
   opts.validate({"n", "sweeps", "scheme"});
 
   const std::string side = std::to_string(n);
@@ -74,9 +75,8 @@ int main(int argc, char** argv) {
             << " unknowns, " << g.num_edges() << " couplings\n";
 
   // Color on the simulated GPU.
-  const auto scheme = coloring::scheme_from_name(scheme_name);
   const coloring::RunResult colored = coloring::run_scheme(scheme, g, {});
-  std::cout << scheme_name << " coloring: " << colored.num_colors << " colors in "
+  std::cout << coloring::scheme_name(scheme) << " coloring: " << colored.num_colors << " colors in "
             << colored.model_ms << " ms (simulated)\n";
 
   // Build the chromatic schedule: one superstep per color class.

@@ -26,11 +26,12 @@ int main(int argc, char** argv) {
   using namespace speckle;
   using graph::vid_t;
   support::Options opts(argc, argv);
-  const auto courses = static_cast<vid_t>(opts.get_int("courses", 600));
-  const auto students = static_cast<std::uint32_t>(opts.get_int("students", 20000));
-  const auto per_student = static_cast<std::uint32_t>(opts.get_int("per-student", 5));
-  const std::string scheme_name = opts.get_string("scheme", "D-base");
-  const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 17));
+  const auto courses = opts.get_uint<vid_t>("courses", 600);
+  const auto students = opts.get_uint<std::uint32_t>("students", 20000);
+  const auto per_student = opts.get_uint<std::uint32_t>("per-student", 5);
+  const coloring::Scheme scheme = opts.get_choice(
+      "scheme", "D-base", coloring::find_scheme, coloring::scheme_names());
+  const auto seed = opts.get_uint<std::uint64_t>("seed", 17);
   opts.validate({"courses", "students", "per-student", "scheme", "seed"});
 
   // Enrollment synthesis: course popularity ~ 1/rank (heavy tail), each
@@ -61,9 +62,8 @@ int main(int argc, char** argv) {
             << g.num_edges() / 2 << " conflicting exam pairs, worst exam clashes "
             << "with " << g.max_degree() << " others\n";
 
-  const auto scheme = coloring::scheme_from_name(scheme_name);
   const coloring::RunResult r = coloring::run_scheme(scheme, g, {});
-  std::cout << scheme_name << ": " << r.num_colors << " time slots ("
+  std::cout << coloring::scheme_name(scheme) << ": " << r.num_colors << " time slots ("
             << r.model_ms << " ms simulated)\n";
 
   const auto refined = coloring::iterated_greedy(g, r.coloring, {.rounds = 6});

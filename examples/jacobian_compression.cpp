@@ -31,11 +31,12 @@ int main(int argc, char** argv) {
   using namespace speckle;
   using graph::vid_t;
   support::Options opts(argc, argv);
-  const auto rows = static_cast<vid_t>(opts.get_int("rows", 4000));
-  const auto cols = static_cast<vid_t>(opts.get_int("cols", 3000));
-  const auto nnz_per_row = static_cast<vid_t>(opts.get_int("nnz-per-row", 5));
-  const std::string scheme_name = opts.get_string("scheme", "D-base");
-  const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 3));
+  const auto rows = opts.get_uint<vid_t>("rows", 4000);
+  const auto cols = opts.get_uint<vid_t>("cols", 3000);
+  const auto nnz_per_row = opts.get_uint<vid_t>("nnz-per-row", 5);
+  const coloring::Scheme scheme = opts.get_choice(
+      "scheme", "D-base", coloring::find_scheme, coloring::scheme_names());
+  const auto seed = opts.get_uint<std::uint64_t>("seed", 3);
   opts.validate({"rows", "cols", "nnz-per-row", "scheme", "seed"});
 
   // 1. Sparsity pattern: each row touches nnz_per_row random columns.
@@ -49,11 +50,10 @@ int main(int argc, char** argv) {
             << "\n";
 
   // 3. Color on the simulated GPU.
-  const auto scheme = coloring::scheme_from_name(scheme_name);
   const coloring::RunResult r = coloring::run_scheme(scheme, g, {});
 
   // 4. Compression report.
-  std::cout << scheme_name << ": " << r.num_colors << " structurally orthogonal "
+  std::cout << coloring::scheme_name(scheme) << ": " << r.num_colors << " structurally orthogonal "
             << "groups (" << r.model_ms << " ms simulated)\n"
             << "Jacobian estimation cost: " << cols
             << " evaluations uncompressed -> " << r.num_colors

@@ -21,9 +21,10 @@ int main(int argc, char** argv) {
   support::Options opts(argc, argv);
   const std::string mtx = opts.get_string("graph", "");
   const std::string suite = opts.get_string("suite", "rmat-er");
-  const auto denom = static_cast<std::uint32_t>(opts.get_int("denom", 64));
-  const std::string scheme_name = opts.get_string("scheme", "D-ldg");
-  const auto block = static_cast<std::uint32_t>(opts.get_int("block", 128));
+  const auto denom = opts.get_uint<std::uint32_t>("denom", 64);
+  const coloring::Scheme scheme = opts.get_choice(
+      "scheme", "D-ldg", coloring::find_scheme, coloring::scheme_names());
+  const auto block = opts.get_uint<std::uint32_t>("block", 128);
   const bool kernels = opts.get_bool("kernels", false);
   opts.validate({"graph", "suite", "denom", "scheme", "block", "kernels"});
 
@@ -40,14 +41,13 @@ int main(int argc, char** argv) {
   // Reduced-scale runs shrink the machine models' caches by the same factor
   // so cache-to-working-set ratios match the paper-scale experiment.
   if (mtx.empty() && denom > 1) run.scale_caches(denom);
-  const auto scheme = coloring::scheme_from_name(scheme_name);
   const coloring::RunResult r = coloring::run_scheme(scheme, g, run);
 
   // 3. Compare with the sequential greedy baseline.
   const coloring::RunResult seq =
       coloring::run_scheme(coloring::Scheme::kSequential, g, run);
 
-  std::cout << scheme_name << ": " << r.num_colors << " colors in "
+  std::cout << coloring::scheme_name(scheme) << ": " << r.num_colors << " colors in "
             << r.iterations << " iterations, " << r.model_ms << " ms (model)\n"
             << "sequential: " << seq.num_colors << " colors, " << seq.model_ms
             << " ms (model)\n"

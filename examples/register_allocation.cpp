@@ -36,11 +36,12 @@ struct LiveRange {
 
 int main(int argc, char** argv) {
   support::Options opts(argc, argv);
-  const auto vregs = static_cast<vid_t>(opts.get_int("vregs", 2000));
-  const auto program_len = static_cast<std::uint32_t>(opts.get_int("len", 10000));
-  const auto k = static_cast<std::uint32_t>(opts.get_int("k", 16));
-  const std::string scheme_name = opts.get_string("scheme", "D-base");
-  const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 7));
+  const auto vregs = opts.get_uint<vid_t>("vregs", 2000);
+  const auto program_len = opts.get_uint<std::uint32_t>("len", 10000);
+  const auto k = opts.get_uint<std::uint32_t>("k", 16);
+  const coloring::Scheme scheme = opts.get_choice(
+      "scheme", "D-base", coloring::find_scheme, coloring::scheme_names());
+  const auto seed = opts.get_uint<std::uint64_t>("seed", 7);
   opts.validate({"vregs", "len", "k", "scheme", "seed"});
 
   // Synthesize live ranges: definition point uniform, lifetime geometric-ish.
@@ -71,9 +72,8 @@ int main(int argc, char** argv) {
             << g.max_degree() + 1 << "\n";
 
   // Color = assign physical registers.
-  const auto scheme = coloring::scheme_from_name(scheme_name);
   const coloring::RunResult r = coloring::run_scheme(scheme, g, {});
-  std::cout << scheme_name << ": program fits in " << r.num_colors
+  std::cout << coloring::scheme_name(scheme) << ": program fits in " << r.num_colors
             << " physical registers (" << r.model_ms << " ms simulated, "
             << r.iterations << " rounds)\n";
 

@@ -26,10 +26,11 @@
 int main(int argc, char** argv) {
   using namespace speckle;
   support::Options opts(argc, argv);
-  const auto aps = static_cast<graph::vid_t>(opts.get_int("aps", 5000));
+  const auto aps = opts.get_uint<graph::vid_t>("aps", 5000);
   const double radius = opts.get_double("radius", 0.02);
-  const std::string scheme_name = opts.get_string("scheme", "T-ldg");
-  const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 11));
+  const coloring::Scheme scheme = opts.get_choice(
+      "scheme", "T-ldg", coloring::find_scheme, coloring::scheme_names());
+  const auto seed = opts.get_uint<std::uint64_t>("seed", 11);
   opts.validate({"aps", "radius", "scheme", "seed"});
 
   graph::GeneratorSpec spec;
@@ -44,9 +45,8 @@ int main(int argc, char** argv) {
             << g.num_edges() / 2 << " interfering pairs, worst AP sees "
             << deg.max_degree << " neighbors\n";
 
-  const auto scheme = coloring::scheme_from_name(scheme_name);
   const coloring::RunResult r = coloring::run_scheme(scheme, g, {});
-  std::cout << scheme_name << ": assignment uses " << r.num_colors
+  std::cout << coloring::scheme_name(scheme) << ": assignment uses " << r.num_colors
             << " channels (" << r.model_ms << " ms simulated)\n";
 
   // Channel usage histogram, and which APs exceed the 3 clean 2.4GHz bands.

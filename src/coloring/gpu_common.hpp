@@ -4,6 +4,7 @@
 /// graph, the common launch options/results, and the device routines every
 /// kernel is built from (first-fit color search, conflict test).
 
+#include <bit>
 #include <cstdint>
 
 #include "coloring/coloring.hpp"
@@ -30,6 +31,13 @@ DeviceGraph upload_graph(simt::Device& dev, const graph::CsrGraph& g);
 /// Round cap of every iterative scheme (single- and multi-device). No
 /// correct run comes near it; exceeding it means a livelock and aborts.
 inline constexpr std::uint32_t kMaxRounds = 100000;
+
+/// True for the block sizes every scheme runs at: powers of two in
+/// [32, 1024] (the scan push needs a power of two, the warp-centric
+/// kernels a warp multiple, the K20c at most 1024 threads per block).
+constexpr bool valid_block_size(std::uint32_t block) {
+  return std::has_single_bit(block) && block >= 32 && block <= 1024;
+}
 
 /// Options shared by every GPU-sim scheme.
 struct GpuOptions {

@@ -38,10 +38,13 @@ std::optional<Scheme> find_scheme(const std::string& name) {
   return std::nullopt;
 }
 
-Scheme scheme_from_name(const std::string& name) {
-  const std::optional<Scheme> s = find_scheme(name);
-  SPECKLE_CHECK(s.has_value(), "unknown scheme '" + name + "'");
-  return *s;
+std::string scheme_names() {
+  std::string out;
+  for (Scheme s : all_schemes()) {
+    if (!out.empty()) out += ' ';
+    out += scheme_name(s);
+  }
+  return out;
 }
 
 bool scheme_uses_gpu(Scheme s) {
@@ -53,6 +56,10 @@ bool scheme_uses_gpu(Scheme s) {
     default:
       return true;
   }
+}
+
+bool scheme_supports_multidev(Scheme s) {
+  return s == Scheme::kDataBase || s == Scheme::kDataLdg || s == Scheme::kDataAtomic;
 }
 
 const std::vector<Scheme>& paper_schemes() {
@@ -90,8 +97,7 @@ RunResult run_scheme(Scheme s, const graph::CsrGraph& g, const RunOptions& opts)
   RunResult result;
   result.scheme = s;
   if (opts.num_devices > 1) {
-    SPECKLE_CHECK(s == Scheme::kDataBase || s == Scheme::kDataLdg ||
-                      s == Scheme::kDataAtomic,
+    SPECKLE_CHECK(scheme_supports_multidev(s),
                   std::string(scheme_name(s)) +
                       " has no multi-device path; --devices>1 supports "
                       "D-base, D-ldg and D-atomic");

@@ -36,11 +36,15 @@ enum class Scheme {
 };
 
 const char* scheme_name(Scheme s);
-/// Lookup by scheme_name(); on an unknown name the first returns nullopt
-/// and the second aborts.
+/// Lookup by scheme_name(); nullopt on an unknown name.
 std::optional<Scheme> find_scheme(const std::string& name);
-Scheme scheme_from_name(const std::string& name);
+/// Every scheme_name() in all_schemes() order, space-separated (for the
+/// accepted-values list of a rejected --scheme).
+std::string scheme_names();
 bool scheme_uses_gpu(Scheme s);
+/// True for the schemes with a multi-device path (RunOptions::num_devices
+/// > 1): D-base, D-ldg and D-atomic.
+bool scheme_supports_multidev(Scheme s);
 
 /// The seven schemes of the paper's evaluation (Section IV), in its order.
 const std::vector<Scheme>& paper_schemes();

@@ -2,8 +2,8 @@
 /// \file cache.hpp
 /// Opt-in binary on-disk cache for generated graphs.
 ///
-/// Generating the larger graphs (R-MAT at low --denom, the bench_huge
-/// 10^8-edge tier) costs far more wall time than everything a bench does
+/// Generating the larger graphs (R-MAT at low --denom, the 10^8-edge
+/// huge-tier specs) costs far more wall time than everything a bench does
 /// with them, and every bench binary regenerates them from scratch. The
 /// cache stores the finished CSR arrays keyed by a canonical spec string —
 /// `canonical_spec_key(spec)` for GeneratorSpec graphs, a "suite:"-prefixed

@@ -6,8 +6,8 @@
 /// A GeneratorSpec is THE workload-axis currency: the suite (suite.cpp)
 /// describes every Table I graph as one, the on-disk CSR cache keys files
 /// by its canonical string (cache.hpp), speckle_gen and the benches parse
-/// one from the command line, and bench_huge sweeps a family of them at
-/// the 10^8-edge tier.
+/// one from the command line, and bench_multidev --denom=1 runs a family
+/// of them as the huge tier (docs/graphs.md lists the specs).
 ///
 /// Each model's edge drawing exists once (genspec.cpp): a body that draws
 /// one part [lo, hi) of the model's work range from a Xoshiro256 passed
@@ -112,8 +112,8 @@ GeneratorSpec normalized(GeneratorSpec spec);
 /// the same generation path). This string is the on-disk cache key.
 std::string canonical_spec_key(const GeneratorSpec& spec);
 
-/// Pre-generation footprint estimate for a normalized spec, for memory
-/// budgeting (bench_huge --mem-budget-mb): upper bounds on the undirected
+/// Pre-generation footprint estimate for a normalized spec, so a caller
+/// can refuse a spec before allocating: upper bounds on the undirected
 /// edge draws, the directed CSR entries, and the peak bytes the sharded
 /// generate + parallel CSR build will hold at once.
 struct SpecFootprint {

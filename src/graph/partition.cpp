@@ -14,12 +14,11 @@ const char* partition_kind_name(PartitionKind kind) {
   return "?";
 }
 
-PartitionKind partition_kind_from_name(const std::string& name) {
-  if (name == "contiguous") return PartitionKind::kContiguous;
-  if (name == "bfs") return PartitionKind::kBfsBlocks;
-  SPECKLE_CHECK(false,
-                "unknown partitioner '" + name + "' (contiguous, bfs)");
-  return PartitionKind::kContiguous;
+std::optional<PartitionKind> find_partition_kind(const std::string& name) {
+  for (PartitionKind kind : {PartitionKind::kContiguous, PartitionKind::kBfsBlocks}) {
+    if (name == partition_kind_name(kind)) return kind;
+  }
+  return std::nullopt;
 }
 
 namespace {

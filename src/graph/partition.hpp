@@ -32,6 +32,7 @@
 /// exchanged, so the classification is what makes the overlap sound.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,8 +47,9 @@ enum class PartitionKind {
 };
 
 const char* partition_kind_name(PartitionKind kind);
-/// Lookup by name ("contiguous" / "bfs"); aborts on unknown names.
-PartitionKind partition_kind_from_name(const std::string& name);
+/// Lookup by partition_kind_name() ("contiguous" / "bfs"); nullopt on an
+/// unknown name.
+std::optional<PartitionKind> find_partition_kind(const std::string& name);
 
 /// One device's slice of the graph.
 struct Shard {

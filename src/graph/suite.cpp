@@ -31,6 +31,15 @@ const std::vector<SuiteEntry>& suite_entries() {
   return entries;
 }
 
+std::string suite_names() {
+  std::string out;
+  for (const SuiteEntry& e : suite_entries()) {
+    if (!out.empty()) out += ' ';
+    out += e.name;
+  }
+  return out;
+}
+
 const SuiteEntry* find_suite_entry(const std::string& name) {
   for (const SuiteEntry& e : suite_entries()) {
     if (e.name == name) return &e;

@@ -47,6 +47,9 @@ struct SuiteEntry {
 
 /// The six suite graphs in Table I order.
 const std::vector<SuiteEntry>& suite_entries();
+/// Their names, space-separated (for the accepted-values list of a
+/// rejected --suite or --graphs entry).
+std::string suite_names();
 
 /// Entry lookup by name; on an unknown name the first returns nullptr and
 /// the second aborts.

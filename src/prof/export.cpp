@@ -1,6 +1,6 @@
 /// \file export.cpp
 /// Report renderings of the profiler: the `--profile` text report, the
-/// BENCH_*.json-style machine-readable record, and the Chrome-trace
+/// machine-readable JSON record, and the Chrome-trace
 /// ("traceEvents") timeline for Perfetto / chrome://tracing.
 ///
 /// Every rendering is a pure function of the Report, which is itself

@@ -208,8 +208,8 @@ struct Report {
   /// Deterministic multi-line text rendering (the `--profile` console
   /// report). Contains only simulated quantities — golden-diffable.
   std::string format(const simt::DeviceConfig& dev) const;
-  /// Machine-readable JSON in the style of the repo's BENCH_*.json records
-  /// (top-level benchmark/machine/notes plus the profile payload under
+  /// Machine-readable JSON record (top-level benchmark/machine/notes, as
+  /// bench_multidev --json writes, plus the profile payload under
   /// "profile"). Byte-identical at every host thread count.
   std::string to_json(const simt::DeviceConfig& dev,
                       const std::string& benchmark = "",

@@ -11,7 +11,7 @@
 /// Transports are a minimal ByteStream interface with three
 /// implementations: FdStream (sockets and stdin/stdout, with an optional
 /// wake fd so a blocked read returns on shutdown), MemoryStream (in-process
-/// tests and bench_serve — no kernel round trips), and whatever a test
+/// tests — no kernel round trips), and whatever a test
 /// wants to fake.
 ///
 /// Graceful shutdown: SIGINT/SIGTERM write one byte to a self-pipe that is

@@ -1,10 +1,10 @@
 #include "support/options.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-
-#include "support/check.hpp"
+#include <sstream>
 
 namespace speckle::support {
 
@@ -16,15 +16,13 @@ Options::Options(int argc, char** argv) {
       continue;
     }
     std::string body = arg.substr(2);
-    SPECKLE_CHECK(!body.empty(), "empty option name in '" + arg + "'");
     auto eq = body.find('=');
-    if (eq == std::string::npos) {
-      values_[body] = "true";
-    } else {
-      std::string key = body.substr(0, eq);
-      SPECKLE_CHECK(!key.empty(), "empty option name in '" + arg + "'");
-      values_[key] = body.substr(eq + 1);
+    const std::string key = body.substr(0, eq);
+    if (key.empty()) {
+      std::fprintf(stderr, "empty option name in '%s'\n", arg.c_str());
+      std::exit(2);
     }
+    values_[key] = eq == std::string::npos ? "true" : body.substr(eq + 1);
   }
 }
 
@@ -37,9 +35,11 @@ std::int64_t Options::get_int(const std::string& key, std::int64_t fallback) con
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   char* end = nullptr;
+  errno = 0;
   long long v = std::strtoll(it->second.c_str(), &end, 10);
-  SPECKLE_CHECK(end != nullptr && *end == '\0',
-                "option --" + key + " expects an integer, got '" + it->second + "'");
+  if (it->second.empty() || *end != '\0' || errno == ERANGE) {
+    reject(key, "expects an integer, got '" + it->second + "'");
+  }
   return v;
 }
 
@@ -48,8 +48,9 @@ double Options::get_double(const std::string& key, double fallback) const {
   if (it == values_.end()) return fallback;
   char* end = nullptr;
   double v = std::strtod(it->second.c_str(), &end);
-  SPECKLE_CHECK(end != nullptr && *end == '\0',
-                "option --" + key + " expects a number, got '" + it->second + "'");
+  if (it->second.empty() || *end != '\0') {
+    reject(key, "expects a number, got '" + it->second + "'");
+  }
   return v;
 }
 
@@ -59,8 +60,35 @@ bool Options::get_bool(const std::string& key, bool fallback) const {
   const std::string& v = it->second;
   if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
   if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  SPECKLE_CHECK(false, "option --" + key + " expects a boolean, got '" + v + "'");
-  return fallback;
+  reject(key, "expects a boolean, got '" + v + "'");
+}
+
+std::uint64_t Options::parse_uint(const std::string& key, const std::string& text,
+                                  std::uint64_t max) {
+  // strtoull alone would accept "-1" (and leading blanks) and wrap it.
+  const bool digits_only =
+      !text.empty() && std::all_of(text.begin(), text.end(), [](char c) {
+        return c >= '0' && c <= '9';
+      });
+  errno = 0;
+  const std::uint64_t v = digits_only ? std::strtoull(text.c_str(), nullptr, 10) : 0;
+  if (!digits_only || errno == ERANGE || v > max) {
+    reject(key, "expects an integer in [0, " + std::to_string(max) + "], got '" +
+                    text + "'");
+  }
+  return v;
+}
+
+std::vector<std::uint32_t> Options::get_uint_list(const std::string& key,
+                                                  const std::string& fallback) const {
+  std::vector<std::uint32_t> out;
+  std::stringstream ss(get_string(key, fallback));
+  std::string item;
+  while (std::getline(ss, item, ',')) {
+    out.push_back(static_cast<std::uint32_t>(
+        parse_uint(key, item, std::numeric_limits<std::uint32_t>::max())));
+  }
+  return out;
 }
 
 bool Options::has(const std::string& key) const { return values_.count(key) != 0; }
@@ -75,6 +103,11 @@ void Options::validate(const std::vector<std::string>& known) const {
                  accepted.c_str());
     std::exit(2);
   }
+}
+
+void Options::reject(const std::string& key, const std::string& why) {
+  std::fprintf(stderr, "option --%s: %s\n", key.c_str(), why.c_str());
+  std::exit(2);
 }
 
 }  // namespace speckle::support

@@ -21,6 +21,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -28,6 +29,10 @@
 #include <vector>
 
 namespace speckle::support {
+
+/// The largest host thread count a CLI accepts for --threads / --pool
+/// (far past any host here; it keeps a typo from spawning billions).
+inline constexpr std::uint32_t kMaxThreads = 1024;
 
 class ThreadPool {
  public:

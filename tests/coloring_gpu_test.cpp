@@ -209,13 +209,20 @@ TEST(GpuSchemes, BlockSizeChangesTimingNotColoringValidity) {
 
 TEST(Runner, SchemeNamesRoundTrip) {
   for (Scheme s : all_schemes()) {
-    EXPECT_EQ(scheme_from_name(scheme_name(s)), s);
+    EXPECT_EQ(find_scheme(scheme_name(s)), s);
+    EXPECT_NE(scheme_names().find(scheme_name(s)), std::string::npos);
   }
   EXPECT_EQ(paper_schemes().size(), 7U);
+  for (auto kind : {graph::PartitionKind::kContiguous, graph::PartitionKind::kBfsBlocks}) {
+    EXPECT_EQ(graph::find_partition_kind(graph::partition_kind_name(kind)), kind);
+  }
 }
 
-TEST(RunnerDeathTest, UnknownSchemeNameAborts) {
-  EXPECT_DEATH(scheme_from_name("bogus"), "unknown scheme");
+// The lookups report an unknown name instead of aborting: the CLIs turn
+// it into exit 2 with the accepted list.
+TEST(Runner, UnknownNamesAreNotFound) {
+  EXPECT_EQ(find_scheme("bogus"), std::nullopt);
+  EXPECT_EQ(graph::find_partition_kind("hash"), std::nullopt);
 }
 
 }  // namespace

@@ -165,5 +165,52 @@ TEST(RecolorRegion, MutateRecolorSweepStaysProper) {
   }
 }
 
+// The claim incremental recoloring exists for: on small insert batches
+// (<= 0.1% of the edges) of two Table I graphs, recolor_region's simulated
+// time is at least 5x below a from-scratch data_color of the mutated graph
+// (7.6-12.5x measured on these six cases). Half of each batch joins
+// same-color pairs so the dirty set is never trivially empty. Denom 16 is
+// load-bearing: at denom 64 three cases fall to 3.3-3.9x, because the
+// fixed per-launch cost dominates the shrunken from-scratch run.
+TEST(RecolorRegion, IncrementalBeatsScratchFiveFold) {
+  RecolorOptions opts;
+  opts.use_ldg = true;
+  opts.device = opts.device.scaled(16);
+  for (const char* name : {"Hamrle3", "G3_circuit"}) {
+    const CsrGraph g = graph::make_suite_graph(name, 16, 1);
+    const GpuResult base = data_color(g, opts);
+    const vid_t n = g.num_vertices();
+    for (const std::uint32_t batch_edges : {8U, 64U, 256U}) {
+      std::mt19937_64 rng(104729 + batch_edges);
+      std::vector<graph::EdgeMutation> batch;
+      while (batch.size() < batch_edges) {
+        const auto u = static_cast<vid_t>(rng() % n);
+        auto v = static_cast<vid_t>(rng() % n);
+        if (batch.size() % 2 == 0) {
+          // Walk forward to a vertex sharing u's color (bounded scan).
+          for (vid_t probe = 1; probe < 4096; ++probe) {
+            if (base.coloring[(u + probe) % n] == base.coloring[u]) {
+              v = (u + probe) % n;
+              break;
+            }
+          }
+        }
+        if (u != v) batch.push_back({graph::EdgeMutation::Kind::kInsert, u, v});
+      }
+      const graph::MutationOutcome out = graph::apply_mutations(g, batch);
+      const std::vector<vid_t> dirty = dirty_from_inserts(base.coloring, out.inserted);
+      const RecolorResult incremental =
+          recolor_region(out.graph, base.coloring, dirty, opts);
+      const GpuResult scratch = data_color(out.graph, opts);
+      EXPECT_TRUE(IsProperColoring(out.graph, incremental.coloring))
+          << name << " batch " << batch_edges;
+      EXPECT_FALSE(incremental.full) << name << " batch " << batch_edges;
+      EXPECT_LE(incremental.model_ms * 5.0, scratch.model_ms)
+          << name << " batch " << batch_edges << ": " << incremental.model_ms
+          << " ms incremental vs " << scratch.model_ms << " ms from scratch";
+    }
+  }
+}
+
 }  // namespace
 }  // namespace speckle::coloring

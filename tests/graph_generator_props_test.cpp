@@ -206,7 +206,7 @@ TEST(GeneratorSpecParse, CanonicalKeyIsInjectiveOverParameters) {
 
 TEST(GeneratorSpecParse, FootprintBoundsHold) {
   // The footprint estimate must upper-bound what generation actually
-  // produces — bench_huge trusts it for the memory budget pre-flight.
+  // produces — a caller that refuses specs over a memory budget trusts it.
   for (const char* text :
        {"rmat:scale=12,deg=8", "ba:n=5000,attach=3", "rgg2d:n=4000,deg=9",
         "grid2d:nx=60,ny=70,defects=0.4", "localrand:n=5000", "er:n=4000,deg=8"}) {

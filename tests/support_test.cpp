@@ -7,6 +7,7 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "support/deadline.hpp"
 #include "support/options.hpp"
@@ -202,7 +203,55 @@ TEST(OptionsDeathTest, UnknownKeyExitsTwoListingAccepted) {
 TEST(OptionsDeathTest, RejectsNonIntegerValue) {
   const char* argv[] = {"prog", "--n=abc"};
   Options opts(2, const_cast<char**>(argv));
-  EXPECT_DEATH(opts.get_int("n", 0), "expects an integer");
+  EXPECT_EXIT(opts.get_int("n", 0), ::testing::ExitedWithCode(2),
+              "option --n: expects an integer, got 'abc'");
+  EXPECT_EXIT(opts.get_uint<std::uint32_t>("n", 0), ::testing::ExitedWithCode(2),
+              "option --n: expects an integer in \\[0, 4294967295\\], got 'abc'");
+}
+
+TEST(Options, UnsignedGetterReadsInRangeValues) {
+  const char* argv[] = {"prog", "--n=4294967295", "--seed=18446744073709551615",
+                        "--parts=1,4"};
+  Options opts(4, const_cast<char**>(argv));
+  EXPECT_EQ(opts.get_uint<std::uint32_t>("n", 0), 4294967295U);
+  EXPECT_EQ(opts.get_uint<std::uint64_t>("seed", 0), 18446744073709551615ULL);
+  EXPECT_EQ(opts.get_uint<std::uint32_t>("missing", 7), 7U);
+  EXPECT_EQ(opts.get_uint_list("parts", "2"), (std::vector<std::uint32_t>{1, 4}));
+  EXPECT_EQ(opts.get_uint_list("missing", "1,2,4"),
+            (std::vector<std::uint32_t>{1, 2, 4}));
+}
+
+// A negative value must not wrap to a huge unsigned one (--threads=-1 once
+// meant 4294967295 host threads).
+TEST(OptionsDeathTest, UnsignedRejectsNegativeValue) {
+  const char* argv[] = {"prog", "--threads=-1", "--parts=1,-4"};
+  Options opts(3, const_cast<char**>(argv));
+  EXPECT_EXIT(opts.get_uint<std::uint32_t>("threads", 0), ::testing::ExitedWithCode(2),
+              "option --threads: expects an integer in \\[0, 4294967295\\], got '-1'");
+  EXPECT_EXIT(opts.get_uint_list("parts", "1"), ::testing::ExitedWithCode(2),
+              "option --parts: .* got '-4'");
+}
+
+TEST(OptionsDeathTest, UnsignedRejectsOverRangeValue) {
+  const char* argv[] = {"prog", "--threads=1025", "--denom=4294967296",
+                        "--seed=18446744073709551616"};
+  Options opts(4, const_cast<char**>(argv));
+  EXPECT_EXIT(opts.get_uint<std::uint32_t>("threads", 0, 1024),
+              ::testing::ExitedWithCode(2),
+              "option --threads: expects an integer in \\[0, 1024\\], got '1025'");
+  EXPECT_EXIT(opts.get_uint<std::uint32_t>("denom", 8), ::testing::ExitedWithCode(2),
+              "option --denom: .* got '4294967296'");
+  EXPECT_EXIT(opts.get_uint<std::uint64_t>("seed", 1), ::testing::ExitedWithCode(2),
+              "option --seed: .* got '18446744073709551616'");
+}
+
+TEST(OptionsDeathTest, MalformedSyntaxAndRejectExitTwo) {
+  const char* argv[] = {"prog", "--=x"};
+  EXPECT_EXIT(Options(2, const_cast<char**>(argv)), ::testing::ExitedWithCode(2),
+              "empty option name in '--=x'");
+  EXPECT_EXIT(Options::reject("scheme", "unknown scheme 'nope'; accepted: D-ldg"),
+              ::testing::ExitedWithCode(2),
+              "option --scheme: unknown scheme 'nope'; accepted: D-ldg");
 }
 
 TEST(Deadline, UnarmedCheckNeverThrows) {

@@ -280,7 +280,7 @@ int main(int argc, char** argv) {
   speckle::support::Options opts(argc, argv);
   const std::string exec = opts.get_string("exec", "");
   const std::string unix_path = opts.get_string("unix", "");
-  const std::int64_t port = opts.get_int("port", 0);
+  const auto port = opts.get_uint<std::uint16_t>("port", 0);
   const std::string trace_path = opts.get_string("trace", "");
   opts.validate({"exec", "unix", "port", "trace"});
 
@@ -337,7 +337,7 @@ int main(int argc, char** argv) {
     std::memset(&addr, 0, sizeof(addr));
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    addr.sin_port = htons(port);
     if (fd < 0 || ::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
                             sizeof(addr)) != 0) {
       return fail("cannot connect to tcp port");

@@ -44,7 +44,7 @@
 /// simulated quantities and is byte-identical at every --threads value.
 /// --profile=json / =trace / =both additionally write machine-readable
 /// exports next to --profile-out (default "profile"): <prefix>.json
-/// (BENCH_*.json-style record) and <prefix>.trace.json (Chrome-trace /
+/// (JSON record) and <prefix>.trace.json (Chrome-trace /
 /// Perfetto timeline).
 ///
 /// Output file format: one line per vertex, "<vertex> <color>", colors
@@ -63,15 +63,18 @@
 #include "graph/suite.hpp"
 #include "support/check.hpp"
 #include "support/options.hpp"
+#include "support/threadpool.hpp"
 
 int main(int argc, char** argv) {
   using namespace speckle;
   support::Options opts(argc, argv);
   const std::string mtx = opts.get_string("graph", "");
   const std::string suite = opts.get_string("suite", "");
-  const auto denom = static_cast<std::uint32_t>(opts.get_int("denom", 8));
-  const std::string scheme_name = opts.get_string("scheme", "D-ldg");
-  const auto block = static_cast<std::uint32_t>(opts.get_int("block", 128));
+  const auto denom = opts.get_uint<std::uint32_t>("denom", 8);
+  const coloring::Scheme scheme = opts.get_choice(
+      "scheme", "D-ldg", coloring::find_scheme, coloring::scheme_names());
+  const std::string scheme_name = coloring::scheme_name(scheme);
+  const auto block = opts.get_uint<std::uint32_t>("block", 128);
   const std::string out_path = opts.get_string("out", "");
   const bool balance = opts.get_bool("balance", false);
   const bool refine = opts.get_bool("refine", false);
@@ -82,10 +85,12 @@ int main(int argc, char** argv) {
   // write the machine-readable exports.
   const std::string profile_mode = opts.get_string("profile", "off");
   const std::string profile_out = opts.get_string("profile-out", "profile");
-  const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
-  const auto threads = static_cast<std::uint32_t>(opts.get_int("threads", 0));
-  const auto devices = static_cast<std::uint32_t>(opts.get_int("devices", 1));
-  const std::string partitioner = opts.get_string("partitioner", "contiguous");
+  const auto seed = opts.get_uint<std::uint64_t>("seed", 1);
+  const auto threads =
+      opts.get_uint<std::uint32_t>("threads", 0, support::kMaxThreads);
+  const auto devices = opts.get_uint<std::uint32_t>("devices", 1);
+  const graph::PartitionKind partition = opts.get_choice(
+      "partitioner", "contiguous", graph::find_partition_kind, "contiguous bfs");
   // Opt-in on-disk CSR cache for --suite graphs (also enabled by the
   // SPECKLE_GRAPH_CACHE environment variable; the flag wins).
   const std::string graph_cache =
@@ -94,18 +99,38 @@ int main(int argc, char** argv) {
                  "refine", "distance2", "sanitize", "check", "profile",
                  "profile-out", "seed", "threads", "devices", "partitioner",
                  "graph-cache"});
-  SPECKLE_CHECK(seed != 0,
-                "--seed=0 is reserved (it collapses the repo's derived-seed "
-                "products); pass a nonzero seed");
-  SPECKLE_CHECK(devices >= 1, "--devices needs at least 1");
-  SPECKLE_CHECK(profile_mode == "off" || profile_mode == "true" ||
-                    profile_mode == "json" || profile_mode == "trace" ||
-                    profile_mode == "both",
-                "--profile takes json, trace or both (bare --profile prints "
-                "the text report only)");
+  using support::Options;
+  if (seed == 0) {
+    Options::reject("seed", "0 is reserved (it collapses the repo's "
+                            "derived-seed products); pass a nonzero seed");
+  }
+  if (devices == 0) Options::reject("devices", "needs at least 1");
+  if (!coloring::valid_block_size(block)) {
+    Options::reject("block", "expects a power of two in [32, 1024], got " +
+                                 std::to_string(block));
+  }
+  if (profile_mode != "off" && profile_mode != "true" && profile_mode != "json" &&
+      profile_mode != "trace" && profile_mode != "both") {
+    Options::reject("profile", "takes json, trace or both (bare --profile "
+                               "prints the text report only)");
+  }
   const bool profiling = profile_mode != "off";
-  SPECKLE_CHECK(mtx.empty() != suite.empty(),
-                "pass exactly one of --graph=<path.mtx> or --suite=<name>");
+  if (mtx.empty() == suite.empty()) {
+    Options::reject("graph", "pass exactly one of --graph=<path.mtx> or "
+                             "--suite=<name>");
+  }
+  if (!suite.empty() && graph::find_suite_entry(suite) == nullptr) {
+    Options::reject("suite", "unknown suite graph '" + suite +
+                                 "'; accepted: " + graph::suite_names());
+  }
+  if (!suite.empty() && !graph::valid_suite_denom(denom)) {
+    Options::reject("denom", "expects a power of two <= 2^19, got " +
+                                 std::to_string(denom));
+  }
+  if (devices > 1 && (distance2 || !coloring::scheme_supports_multidev(scheme))) {
+    Options::reject("devices", "values > 1 need --scheme=D-base, D-ldg or "
+                               "D-atomic, without --distance2");
+  }
 
   graph::CsrGraph g;
   if (!mtx.empty()) {
@@ -130,7 +155,6 @@ int main(int argc, char** argv) {
   check::Report chk;
   simt::DeviceConfig dev_cfg = simt::DeviceConfig::k20c();
   if (distance2) {
-    SPECKLE_CHECK(devices == 1, "--distance2 has no multi-device path");
     coloring::GpuOptions gpu;
     gpu.block_size = block;
     gpu.device.host_threads = threads;
@@ -153,13 +177,12 @@ int main(int argc, char** argv) {
     run.block_size = block;
     run.seed = seed;
     run.num_devices = devices;
-    run.partitioner = graph::partition_kind_from_name(partitioner);
+    run.partitioner = partition;
     run.device.host_threads = threads;
     run.device.sanitize = sanitize;
     run.device.profile = profiling;
     run.device.check = check;
     dev_cfg = run.device;
-    const auto scheme = coloring::scheme_from_name(scheme_name);
     const auto r = coloring::run_scheme(scheme, g, run);
     coloring = r.coloring;
     num_colors = r.num_colors;
@@ -170,7 +193,7 @@ int main(int argc, char** argv) {
               << " iterations, " << r.model_ms << " ms simulated, " << r.wall_ms
               << " ms host wall\n";
     if (devices > 1) {
-      std::cout << "devices: " << devices << " (" << partitioner
+      std::cout << "devices: " << devices << " (" << graph::partition_kind_name(partition)
                 << " partition), cut=" << r.cut_edges
                 << " directed edges, exchanged=" << r.exchanged_colors
                 << " ghost colors, hidden=" << r.hidden_ms << " ms\n";
@@ -210,14 +233,14 @@ int main(int argc, char** argv) {
     if (profile_mode == "json" || profile_mode == "both") {
       const std::string path = profile_out + ".json";
       std::ofstream json(path);
-      SPECKLE_CHECK(json.good(), "cannot open '" + path + "'");
+      if (!json.good()) Options::reject("profile-out", "cannot open '" + path + "'");
       json << prof.to_json(dev_cfg, benchmark);
       std::cout << "wrote " << path << "\n";
     }
     if (profile_mode == "trace" || profile_mode == "both") {
       const std::string path = profile_out + ".trace.json";
       std::ofstream trace(path);
-      SPECKLE_CHECK(trace.good(), "cannot open '" + path + "'");
+      if (!trace.good()) Options::reject("profile-out", "cannot open '" + path + "'");
       trace << prof.to_chrome_trace(dev_cfg);
       std::cout << "wrote " << path << "\n";
     }
@@ -240,7 +263,7 @@ int main(int argc, char** argv) {
 
   if (!out_path.empty()) {
     std::ofstream out(out_path);
-    SPECKLE_CHECK(out.good(), "cannot open --out file '" + out_path + "'");
+    if (!out.good()) Options::reject("out", "cannot open '" + out_path + "'");
     out << "% speckle coloring: " << num_colors << " colors, "
         << g.num_vertices() << " vertices\n";
     for (graph::vid_t v = 0; v < g.num_vertices(); ++v) {

@@ -26,32 +26,42 @@
 #include "graph/genspec.hpp"
 #include "graph/matrix_market.hpp"
 #include "graph/suite.hpp"
-#include "support/check.hpp"
 #include "support/options.hpp"
 #include "support/threadpool.hpp"
 
 int main(int argc, char** argv) {
   using namespace speckle;
-  support::Options opts(argc, argv);
+  using support::Options;
+  Options opts(argc, argv);
   const std::string suite = opts.get_string("suite", "");
   const std::string spec_text = opts.get_string("spec", "");
   const std::string out = opts.get_string("out", "");
-  const auto denom = static_cast<std::uint32_t>(opts.get_int("denom", 8));
-  const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
-  const auto threads = static_cast<unsigned>(opts.get_int("threads", 0));
+  const auto denom = opts.get_uint<std::uint32_t>("denom", 8);
+  const auto seed = opts.get_uint<std::uint64_t>("seed", 1);
+  const auto threads = opts.get_uint<std::uint32_t>("threads", 0, support::kMaxThreads);
   if (spec_text.empty()) {
     opts.validate({"suite", "denom", "out", "seed", "threads"});
   } else {
     opts.validate({"spec", "out", "seed", "threads"});
   }
-  SPECKLE_CHECK(seed != 0,
-                "--seed=0 is reserved (the suite derives sub-seeds as "
-                "seed+k / seed*k products, which seed 0 collapses); pass a "
-                "nonzero seed");
-  SPECKLE_CHECK(!out.empty(), "--out=<path.mtx> is required");
-  SPECKLE_CHECK(suite.empty() != spec_text.empty(),
-                "pass exactly one of --suite=<name> or "
-                "--spec=<model:key=value,...>");
+  if (seed == 0) {
+    Options::reject("seed", "0 is reserved (the suite derives sub-seeds as "
+                            "seed+k / seed*k products, which seed 0 "
+                            "collapses); pass a nonzero seed");
+  }
+  if (out.empty()) Options::reject("out", "--out=<path.mtx> is required");
+  if (suite.empty() == spec_text.empty()) {
+    Options::reject("suite", "pass exactly one of --suite=<name> or "
+                             "--spec=<model:key=value,...>");
+  }
+  if (!suite.empty() && graph::find_suite_entry(suite) == nullptr) {
+    Options::reject("suite", "unknown suite graph '" + suite +
+                                 "'; accepted: " + graph::suite_names());
+  }
+  if (!suite.empty() && !graph::valid_suite_denom(denom)) {
+    Options::reject("denom", "expects a power of two <= 2^19, got " +
+                                 std::to_string(denom));
+  }
 
   graph::CsrGraph g;
   if (!spec_text.empty()) {

@@ -31,9 +31,12 @@
 /// every --threads value.
 ///
 /// Exit code: 0 when every run is clean, 2 when any checker (or, with
-/// --sanitize, sanitizer) finding fired, 1 on usage errors.
+/// --sanitize, sanitizer) finding fired or a flag is malformed, 1 when the
+/// --graph file cannot be read.
 
+#include <algorithm>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -43,8 +46,8 @@
 #include "graph/cache.hpp"
 #include "graph/matrix_market.hpp"
 #include "graph/suite.hpp"
-#include "support/check.hpp"
 #include "support/options.hpp"
+#include "support/threadpool.hpp"
 
 namespace {
 
@@ -65,11 +68,6 @@ std::vector<std::string> split_csv(const std::string& csv) {
     if (!item.empty()) out.push_back(item);
   }
   return out;
-}
-
-bool scheme_supports_multidev(coloring::Scheme s) {
-  return s == coloring::Scheme::kDataBase || s == coloring::Scheme::kDataLdg ||
-         s == coloring::Scheme::kDataAtomic;
 }
 
 std::string findings_json(const std::vector<LintRun>& runs) {
@@ -104,25 +102,72 @@ std::string findings_json(const std::vector<LintRun>& runs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  support::Options opts(argc, argv);
+  using support::Options;
+  Options opts(argc, argv);
   const std::string mtx = opts.get_string("graph", "");
   const std::string suite = opts.get_string("suite", mtx.empty() ? "Hamrle3" : "");
-  const auto denom = static_cast<std::uint32_t>(opts.get_int("denom", 128));
+  const auto denom = opts.get_uint<std::uint32_t>("denom", 128);
   const std::string schemes_csv = opts.get_string("schemes", "all");
-  const std::string devices_csv = opts.get_string("devices", "1");
-  const auto block = static_cast<std::uint32_t>(opts.get_int("block", 128));
-  const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
-  const auto threads = static_cast<std::uint32_t>(opts.get_int("threads", 0));
+  const std::vector<std::uint32_t> device_counts = opts.get_uint_list("devices", "1");
+  const auto block = opts.get_uint<std::uint32_t>("block", 128);
+  const auto seed = opts.get_uint<std::uint64_t>("seed", 1);
+  const auto threads =
+      opts.get_uint<std::uint32_t>("threads", 0, support::kMaxThreads);
   const bool sanitize = opts.get_bool("sanitize", false);
   const std::string json_mode = opts.get_string("json", "off");
   const std::string graph_cache =
       graph::resolve_graph_cache_dir(opts.get_string("graph-cache", ""));
   opts.validate({"graph", "suite", "denom", "schemes", "devices", "block",
                  "seed", "threads", "sanitize", "json", "graph-cache"});
-  SPECKLE_CHECK(seed != 0, "--seed=0 is reserved; pass a nonzero seed");
-  SPECKLE_CHECK(json_mode == "off" || json_mode == "full" ||
-                    json_mode == "findings",
-                "--json takes off, full or findings");
+  if (seed == 0) Options::reject("seed", "0 is reserved; pass a nonzero seed");
+  if (!coloring::valid_block_size(block)) {
+    Options::reject("block", "expects a power of two in [32, 1024], got " +
+                                 std::to_string(block));
+  }
+  if (json_mode != "off" && json_mode != "full" && json_mode != "findings") {
+    Options::reject("json", "takes off, full or findings");
+  }
+  if (!suite.empty() && graph::find_suite_entry(suite) == nullptr) {
+    Options::reject("suite", "unknown suite graph '" + suite +
+                                 "'; accepted: " + graph::suite_names());
+  }
+  if (!suite.empty() && !graph::valid_suite_denom(denom)) {
+    Options::reject("denom", "expects a power of two <= 2^19, got " +
+                                 std::to_string(denom));
+  }
+  if (device_counts.empty() ||
+      std::find(device_counts.begin(), device_counts.end(), 0u) != device_counts.end()) {
+    Options::reject("devices", "needs one or more counts, each >= 1");
+  }
+
+  // Resolve the scheme list: "all" = every GPU scheme in the registry plus
+  // the distance-2 extension; otherwise the named schemes (which may
+  // include "topo-d2").
+  std::vector<coloring::Scheme> gpu_schemes;
+  std::string accepted = "all topo-d2";
+  for (coloring::Scheme s : coloring::all_schemes()) {
+    if (!coloring::scheme_uses_gpu(s)) continue;
+    gpu_schemes.push_back(s);
+    accepted += std::string(" ") + coloring::scheme_name(s);
+  }
+  std::vector<coloring::Scheme> schemes;
+  bool run_d2 = schemes_csv == "all";
+  if (run_d2) {
+    schemes = gpu_schemes;
+  } else {
+    for (const std::string& name : split_csv(schemes_csv)) {
+      if (name == "topo-d2") {
+        run_d2 = true;
+        continue;
+      }
+      const std::optional<coloring::Scheme> s = coloring::find_scheme(name);
+      if (!s || !coloring::scheme_uses_gpu(*s)) {
+        Options::reject("schemes", "'" + name + "' is not a GPU scheme; accepted: " +
+                                       accepted);
+      }
+      schemes.push_back(*s);
+    }
+  }
 
   graph::CsrGraph g;
   if (!mtx.empty()) {
@@ -136,43 +181,10 @@ int main(int argc, char** argv) {
     g = graph::make_suite_graph_cached(suite, denom, seed, graph_cache);
   }
 
-  // Resolve the scheme list: "all" = every GPU scheme in the registry plus
-  // the distance-2 extension; otherwise the named schemes (which may
-  // include "topo-d2").
-  const bool all = schemes_csv == "all";
-  std::vector<std::string> scheme_names;
-  bool run_d2 = false;
-  if (all) {
-    for (coloring::Scheme s : coloring::all_schemes()) {
-      if (coloring::scheme_uses_gpu(s)) {
-        scheme_names.emplace_back(coloring::scheme_name(s));
-      }
-    }
-    run_d2 = true;
-  } else {
-    for (const std::string& name : split_csv(schemes_csv)) {
-      if (name == "topo-d2") {
-        run_d2 = true;
-        continue;
-      }
-      const coloring::Scheme s = coloring::scheme_from_name(name);
-      SPECKLE_CHECK(coloring::scheme_uses_gpu(s),
-                    name + " is a CPU scheme: no launch plan to lint");
-      scheme_names.push_back(name);
-    }
-  }
-  std::vector<std::uint32_t> device_counts;
-  for (const std::string& d : split_csv(devices_csv)) {
-    device_counts.push_back(static_cast<std::uint32_t>(std::stoul(d)));
-  }
-  SPECKLE_CHECK(!device_counts.empty(), "--devices must name at least one count");
-
   std::vector<LintRun> runs;
   for (const std::uint32_t devices : device_counts) {
-    SPECKLE_CHECK(devices >= 1, "--devices entries must be >= 1");
-    for (const std::string& name : scheme_names) {
-      const coloring::Scheme s = coloring::scheme_from_name(name);
-      if (devices > 1 && !scheme_supports_multidev(s)) continue;
+    for (const coloring::Scheme s : schemes) {
+      if (devices > 1 && !coloring::scheme_supports_multidev(s)) continue;
       coloring::RunOptions run;
       run.block_size = block;
       run.seed = seed;
@@ -181,7 +193,7 @@ int main(int argc, char** argv) {
       run.device.check = true;
       run.device.sanitize = sanitize;
       const coloring::RunResult r = coloring::run_scheme(s, g, run);
-      runs.push_back(LintRun{name, devices, r.check, r.san});
+      runs.push_back(LintRun{coloring::scheme_name(s), devices, r.check, r.san});
     }
     if (run_d2 && devices == 1) {
       coloring::GpuOptions gpu;

@@ -14,29 +14,35 @@
 #include <cstdio>
 #include <string>
 
+#include "coloring/gpu_common.hpp"
 #include "graph/cache.hpp"
 #include "serve/server.hpp"
 #include "support/options.hpp"
+#include "support/threadpool.hpp"
 
 int main(int argc, char** argv) {
   speckle::support::Options opts(argc, argv);
   const bool stdio = opts.get_bool("stdio", false);
   const std::string unix_path = opts.get_string("unix", "");
-  const std::int64_t port = opts.get_int("port", 0);
+  const auto port = opts.get_uint<std::uint16_t>("port", 0);
 
   speckle::serve::ServerOptions server_opts;
   server_opts.session.block_size =
-      static_cast<std::uint32_t>(opts.get_int("block-size", 128));
+      opts.get_uint<std::uint32_t>("block-size", 128);
   server_opts.session.host_threads =
-      static_cast<std::uint32_t>(opts.get_int("threads", 1));
+      opts.get_uint<std::uint32_t>("threads", 1, speckle::support::kMaxThreads);
   server_opts.session.graph_cache = speckle::graph::resolve_graph_cache_dir(
       opts.get_string("graph-cache", ""));
-  server_opts.timeout_ms =
-      static_cast<std::uint32_t>(opts.get_int("timeout-ms", 0));
+  server_opts.timeout_ms = opts.get_uint<std::uint32_t>("timeout-ms", 0);
   server_opts.accept_threads =
-      static_cast<std::uint32_t>(opts.get_int("pool", 4));
+      opts.get_uint<std::uint32_t>("pool", 4, speckle::support::kMaxThreads);
   opts.validate({"stdio", "unix", "port", "block-size", "threads",
                  "graph-cache", "timeout-ms", "pool"});
+  if (!speckle::coloring::valid_block_size(server_opts.session.block_size)) {
+    speckle::support::Options::reject(
+        "block-size", "expects a power of two in [32, 1024], got " +
+                          std::to_string(server_opts.session.block_size));
+  }
 
   if ((stdio ? 1 : 0) + (unix_path.empty() ? 0 : 1) + (port != 0 ? 1 : 0) >
       1) {
@@ -51,8 +57,7 @@ int main(int argc, char** argv) {
     return speckle::serve::run_unix(server, unix_path, wake_fd);
   }
   if (port != 0) {
-    return speckle::serve::run_tcp(server, static_cast<std::uint16_t>(port),
-                                   wake_fd);
+    return speckle::serve::run_tcp(server, port, wake_fd);
   }
   return speckle::serve::run_stdio(server, wake_fd);
 }
