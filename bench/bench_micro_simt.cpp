@@ -1,14 +1,16 @@
 /// \file bench_micro_simt.cpp
 /// google-benchmark micro-benchmarks for the SIMT simulator itself:
 /// simulation throughput for coalesced/scattered kernels, the scan-push
-/// primitive, and the cache model. These measure the *simulator's* host
-/// cost (simulated results are deterministic; see the fig benches for
-/// simulated metrics).
+/// primitive, the per-SM event loop, and the cache model. These measure
+/// the *simulator's* host cost (simulated results are deterministic; see
+/// the fig benches for simulated metrics). ctest runs every case once as
+/// the `bench_smoke` label, with no timing gate.
 
 #include <benchmark/benchmark.h>
 
 #include "simt/cache.hpp"
 #include "simt/device.hpp"
+#include "simt/timing.hpp"
 #include "simt/worklist.hpp"
 
 namespace {
@@ -259,6 +261,115 @@ void BM_WaveCommitContended(benchmark::State& state) {
                           static_cast<std::int64_t>(lines) * dev.num_sms);
 }
 BENCHMARK(BM_WaveCommitContended);
+
+// ---- event-loop isolation (TimingEngine::run_sm) ------------------------
+// One wave of prebuilt warp traces through TimingEngine::run_wave: no
+// kernel execution and no warp merge in the timed region, so a change to
+// the scheduler or the MSHR model is sized in seconds. Items are warp
+// instructions, so the per-item time reads like speckbench's
+// simt.host_ns_per_warp_inst.
+
+/// Every SM's resident blocks for one wave. Lane `lane` of warp `warp` (a
+/// wave-wide index) is filled by `lane_ops(warp, lane, trace)`.
+struct EventLoopWave {
+  std::vector<BlockWork> blocks;
+  std::vector<std::vector<const BlockWork*>> per_sm;
+};
+
+template <typename LaneOps>
+EventLoopWave build_wave(const DeviceConfig& dev, std::uint32_t blocks_per_sm,
+                         std::uint32_t warps_per_block, LaneOps lane_ops) {
+  EventLoopWave wave;
+  wave.blocks.resize(static_cast<std::size_t>(dev.num_sms) * blocks_per_sm);
+  wave.per_sm.resize(dev.num_sms);
+  std::vector<ThreadTrace> lanes(dev.warp_size);
+  std::uint32_t warp = 0;
+  for (std::size_t b = 0; b < wave.blocks.size(); ++b) {
+    BlockWork& work = wave.blocks[b];
+    work.warps.resize(warps_per_block);
+    work.active = warps_per_block;
+    for (std::uint32_t w = 0; w < warps_per_block; ++w, ++warp) {
+      for (std::uint32_t l = 0; l < dev.warp_size; ++l) {
+        lanes[l].clear();
+        lane_ops(warp, l, lanes[l]);
+      }
+      merge_warp(lanes, dev.line_bytes, work.warps[w]);
+    }
+    wave.per_sm[b % dev.num_sms].push_back(&work);
+  }
+  return wave;
+}
+
+void run_event_loop(benchmark::State& state, const DeviceConfig& dev,
+                    const EventLoopWave& wave) {
+  MemorySystem memory(dev);
+  TimingEngine engine(dev, memory);
+  std::uint64_t warp_insts = 0;
+  for (auto _ : state) {
+    KernelStats stats;
+    benchmark::DoNotOptimize(engine.run_wave(wave.per_sm, 0.0, stats));
+    warp_insts += stats.warp_insts;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(warp_insts));
+}
+
+std::uint64_t mix(std::uint64_t x) {
+  x = (x ^ (x >> 31)) * 0x9e3779b97f4a7c15ULL;
+  return x ^ (x >> 29);
+}
+
+/// MSHR-saturating wave: 16 warps per SM, each lane loading its own random
+/// word of a 64 MiB range 16 times, so every load is 32 transactions that
+/// mostly miss to DRAM against 44 MSHRs.
+void BM_EventLoopMshrScatter(benchmark::State& state) {
+  const DeviceConfig dev = DeviceConfig::k20c();
+  const EventLoopWave wave = build_wave(
+      dev, 2, 8, [](std::uint32_t warp, std::uint32_t lane, ThreadTrace& t) {
+        for (std::uint64_t op = 0; op < 16; ++op) {
+          const std::uint64_t word = mix((warp * 32ULL + lane) * 16 + op);
+          t.memory(OpKind::kLoad, Space::kGlobal, (word % (16ULL << 20)) * 4, 4);
+          t.compute(2);
+        }
+      });
+  run_event_loop(state, dev, wave);
+}
+BENCHMARK(BM_EventLoopMshrScatter);
+
+/// Warp-centric phased wave in the shape of the multi-device color kernel:
+/// 64 warps per SM, one vertex per warp. Phase A: broadcast loads of the
+/// item and its row bounds, lanes strided over 4..19 neighbors (a
+/// coalesced index load and a scattered color load each), three
+/// scratchpad stores; barrier; phase B: lane 0 folds 96 scratchpad words
+/// and stores the color. Issue-heavy, few DRAM misses.
+void BM_EventLoopPhasedWarpCentric(benchmark::State& state) {
+  const DeviceConfig dev = DeviceConfig::k20c();
+  constexpr std::uint64_t kItems = 0, kRow = 1ULL << 24, kCol = 2ULL << 24,
+                          kColors = 3ULL << 24, kVertices = 1ULL << 18;
+  const EventLoopWave wave = build_wave(
+      dev, 16, 4, [](std::uint32_t warp, std::uint32_t lane, ThreadTrace& t) {
+        const std::uint64_t v = mix(warp) % kVertices;
+        const std::uint64_t degree = 4 + v % 16;
+        t.memory(OpKind::kLoad, Space::kGlobal, kItems + warp * 4ULL, 4);
+        t.memory(OpKind::kLoad, Space::kReadOnly, kRow + v * 4, 4);
+        t.memory(OpKind::kLoad, Space::kReadOnly, kRow + v * 4 + 4, 4);
+        t.compute(3);
+        for (std::uint64_t e = lane; e < degree; e += 32) {
+          t.memory(OpKind::kLoad, Space::kReadOnly, kCol + (v * 16 + e) * 4, 4);
+          t.memory(OpKind::kLoad, Space::kGlobal,
+                   kColors + mix(v * 16 + e) % kVertices * 4, 4);
+          t.compute(3);
+        }
+        for (int i = 0; i < 3; ++i) t.shared_access();
+        t.sync();
+        if (lane != 0) return;
+        t.memory(OpKind::kLoad, Space::kGlobal, kItems + warp * 4ULL, 4);
+        for (int i = 0; i < 96; ++i) t.shared_access();
+        t.compute(34);
+        t.memory(OpKind::kStore, Space::kGlobal, kColors + v * 4, 4);
+      });
+  run_event_loop(state, dev, wave);
+}
+BENCHMARK(BM_EventLoopPhasedWarpCentric);
 
 /// Hit-dominated probe of a small cache (the steady-state L2 pattern):
 /// round-robin over half the sets so every access hits after warmup.

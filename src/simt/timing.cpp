@@ -2,18 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <limits>
 
 #include "support/check.hpp"
 #include "support/threadpool.hpp"
 
 namespace speckle::simt {
-
-namespace {
-
-constexpr double kInfinity = std::numeric_limits<double>::infinity();
-
-}  // namespace
 
 std::uint64_t d2d_transfer_cycles(const DeviceConfig& dev, std::uint64_t bytes) {
   const double us =
@@ -61,25 +54,19 @@ TimingEngine::SmOutcome TimingEngine::run_sm(std::uint32_t sm,
         SPECKLE_CHECK(syncs == sync_count || syncs == 0,
                       "warps of a block must hit the same barriers");
       }
-      if (!wt.empty()) {
-        warps.push_back({&wt, 0, start, Stall::kIdle, slot, false});
-      }
+      if (!wt.empty()) warps.push_back({&wt, 0, Stall::kIdle, slot});
     }
   }
   if (warps.empty()) return outcome;
 
-  // Outstanding DRAM-miss completions (MSHR occupancy) for this SM, kept as
-  // a min-heap over the pooled vector.
-  std::vector<double>& outstanding = scratch.mshr;
-  outstanding.clear();
-  auto mshr_push = [&](double t) {
-    outstanding.push_back(t);
-    std::push_heap(outstanding.begin(), outstanding.end(), std::greater<>());
-  };
-  auto mshr_pop = [&] {
-    std::pop_heap(outstanding.begin(), outstanding.end(), std::greater<>());
-    outstanding.pop_back();
-  };
+  // Outstanding DRAM-miss completions (MSHR occupancy) for this SM. The
+  // queue is a local so its head and tail stay in registers; only its
+  // storage is pooled.
+  MshrQueue outstanding(scratch.mshr.data(), mshrs_per_sm);
+
+  // Every warp is ready at `start`; the tree breaks the tie by index.
+  WarpWinnerTree& ready = scratch.ready;
+  ready.reset(static_cast<std::uint32_t>(warps.size()), start);
 
   double clock = start;
   double busy = 0.0;
@@ -99,36 +86,19 @@ TimingEngine::SmOutcome TimingEngine::run_sm(std::uint32_t sm,
   std::uint64_t dram_transactions = 0;
   std::array<double, static_cast<std::size_t>(Stall::kCount)> stall_cycles{};
 
-  auto drain_completed_mshrs = [&](double now) {
-    while (!outstanding.empty() && outstanding.front() <= now) mshr_pop();
-  };
-
-  std::vector<std::pair<double, std::uint32_t>>& ready_q = scratch.ready_q;
-  ready_q.clear();
-  for (std::uint32_t i = 0; i < warps.size(); ++i) {
-    ready_q.emplace_back(warps[i].ready, i);
-  }
-  std::make_heap(ready_q.begin(), ready_q.end(), std::greater<>());
-  auto q_push = [&](double ready, std::uint32_t idx) {
-    ready_q.emplace_back(ready, idx);
-    std::push_heap(ready_q.begin(), ready_q.end(), std::greater<>());
-  };
-
   while (remaining > 0) {
-    // Pop the unparked, unfinished warp with the earliest ready time
-    // (lowest index on ties — the order the old linear scan produced).
-    SPECKLE_CHECK(!ready_q.empty(), "all warps parked: barrier deadlock");
-    std::pop_heap(ready_q.begin(), ready_q.end(), std::greater<>());
-    const std::uint32_t pick = ready_q.back().second;
-    ready_q.pop_back();
+    // Issue from the unparked, unfinished warp with the earliest ready time
+    // (lowest index on ties).
+    const double w_ready = ready.top_key();
+    SPECKLE_CHECK(w_ready != WarpWinnerTree::kNever,
+                  "all warps parked: barrier deadlock");
+    const std::uint32_t pick = ready.top();
     WarpRt& w = warps[pick];
-
-   issue_from_same_warp:
-    if (w.ready > clock) {
-      stall_cycles[static_cast<std::size_t>(w.reason)] += w.ready - clock;
-      clock = w.ready;
+    if (w_ready > clock) {
+      stall_cycles[static_cast<std::size_t>(w.reason)] += w_ready - clock;
+      clock = w_ready;
     }
-    drain_completed_mshrs(clock);
+    outstanding.drain(clock);
 
     const WarpTrace& wt = *w.trace;
     const std::size_t cur = w.cursor;
@@ -137,6 +107,7 @@ TimingEngine::SmOutcome TimingEngine::run_sm(std::uint32_t sm,
     // One load of the packed meta word; each case decodes only the fields
     // it consumes (compute/sync never touch the address pool).
     const std::uint64_t m = wt.meta(cur);
+    double next_ready = clock;  // the warp's key after this op; each case sets it
     switch (WarpTrace::meta_kind(m)) {
       case OpKind::kCompute: {
         const std::uint16_t inst_count = WarpTrace::meta_inst_count(m);
@@ -144,7 +115,7 @@ TimingEngine::SmOutcome TimingEngine::run_sm(std::uint32_t sm,
         busy += issue_time;
         clock += issue_time;
         warp_insts += inst_count;
-        w.ready = clock + compute_latency;
+        next_ready = clock + compute_latency;
         w.reason = Stall::kExecutionDependency;
         break;
       }
@@ -152,7 +123,7 @@ TimingEngine::SmOutcome TimingEngine::run_sm(std::uint32_t sm,
         busy += issue_cost;
         clock += issue_cost;
         ++warp_insts;
-        w.ready = clock + shared_latency;
+        next_ready = clock + shared_latency;
         w.reason = Stall::kExecutionDependency;
         break;
       }
@@ -170,10 +141,10 @@ TimingEngine::SmOutcome TimingEngine::run_sm(std::uint32_t sm,
           // MSHR throttling: a full miss queue delays further misses. The
           // delay extends this op's completion; the resulting scheduler gap
           // is attributed below via the warp's stall reason.
-          drain_completed_mshrs(transaction_issue);
+          outstanding.drain(transaction_issue);
           if (outstanding.size() >= mshrs_per_sm) {
-            const double free_at = outstanding.front();
-            mshr_pop();
+            const double free_at = outstanding.min();
+            outstanding.pop();
             if (free_at > transaction_issue) {
               transaction_issue = free_at;
             }
@@ -188,11 +159,11 @@ TimingEngine::SmOutcome TimingEngine::run_sm(std::uint32_t sm,
             ++l2_misses;
             ++dram_transactions;
             dram_bytes += dram_sector_bytes;
-            mshr_push(transaction_issue + r.latency);
+            outstanding.push(transaction_issue + r.latency);
           }
           max_done = std::max(max_done, transaction_issue + r.latency);
         }
-        w.ready = max_done;
+        next_ready = max_done;
         // A warp waiting on its own load's data is a memory-dependency
         // stall in profiler terms, even when MSHR queueing lengthened the
         // wait — kMemoryThrottle is reserved for warps that cannot issue at
@@ -212,7 +183,7 @@ TimingEngine::SmOutcome TimingEngine::run_sm(std::uint32_t sm,
           }
         }
         // Stores are fire-and-forget: no dependency latency for the warp.
-        w.ready = clock;
+        next_ready = clock;
         w.reason = Stall::kExecutionDependency;
         break;
       }
@@ -225,7 +196,7 @@ TimingEngine::SmOutcome TimingEngine::run_sm(std::uint32_t sm,
           done = std::max(done, view.atomic(addr, clock));
           ++atomics;
         }
-        w.ready = done;
+        next_ready = done;
         w.reason = Stall::kAtomic;
         break;
       }
@@ -238,20 +209,17 @@ TimingEngine::SmOutcome TimingEngine::run_sm(std::uint32_t sm,
         barrier.max_arrival = std::max(barrier.max_arrival, clock);
         if (barrier.arrived == barrier.expected) {
           for (std::uint32_t idx : barrier.waiting) {
-            warps[idx].parked = false;
-            warps[idx].ready = barrier.max_arrival;
             // A warp whose sync was its last op already left `remaining`.
-            if (!warps[idx].done()) q_push(barrier.max_arrival, idx);
+            if (!warps[idx].done()) ready.update(idx, barrier.max_arrival);
           }
-          w.ready = barrier.max_arrival;
+          next_ready = barrier.max_arrival;
           w.reason = Stall::kSynchronization;
           barrier.arrived = 0;
           barrier.max_arrival = 0.0;
           barrier.waiting.clear();
         } else {
-          w.parked = true;
           w.reason = Stall::kSynchronization;
-          w.ready = kInfinity;
+          next_ready = WarpWinnerTree::kNever;
           barrier.waiting.push_back(static_cast<std::uint32_t>(pick));
         }
         break;
@@ -260,17 +228,9 @@ TimingEngine::SmOutcome TimingEngine::run_sm(std::uint32_t sm,
 
     if (w.done()) {
       --remaining;
-    } else if (!w.parked) {
-      // Keep issuing from this warp while it would win the next heap pop
-      // anyway: the heap orders by (ready, index) lexicographically, so
-      // skipping the push/pop round-trip is schedule-identical whenever
-      // (w.ready, pick) precedes the current top.
-      if (ready_q.empty() ||
-          std::pair<double, std::uint32_t>{w.ready, pick} < ready_q.front()) {
-        goto issue_from_same_warp;
-      }
-      q_push(w.ready, pick);
+      next_ready = WarpWinnerTree::kNever;
     }
+    ready.update(pick, next_ready);
   }
 
   stats.warp_insts += warp_insts;
@@ -303,7 +263,11 @@ double TimingEngine::run_wave(const std::vector<std::vector<const BlockWork*>>& 
   // Views, partials and scratch are pooled across waves — the view reset is
   // an epoch bump, and overlay pages re-snapshot lazily on first touch.
   if (views_.empty()) {
+    SPECKLE_CHECK(dev_.mshrs_per_sm > 0, "an SM needs at least one MSHR");
     scratch_.resize(num_sms);
+    for (SmScratch& scratch : scratch_) {
+      scratch.mshr.resize(MshrQueue::storage_size(dev_.mshrs_per_sm));
+    }
     partials_.resize(num_sms);
     outcomes_.resize(num_sms);
     views_.reserve(num_sms);

@@ -109,10 +109,11 @@ void merge_warp(std::span<const ThreadTrace> lanes, std::uint32_t line_bytes,
   };
 
   // Whole-trace fast path: when every lane ran the exact same (kind, space)
-  // sequence — the dominant case for the regular T-*/D-* kernels — the
-  // general loop below would take its converged branch every round. Decide
-  // that once with vectorized stream compares, then emit without any cursor
-  // or participation bookkeeping. Produces the identical instruction stream.
+  // sequence the general loop below would take its converged branch every
+  // round. Decide that once with vectorized stream compares, then emit
+  // without any cursor or participation bookkeeping. Produces the identical
+  // instruction stream. Most coloring warps do not qualify: their lanes
+  // loop over adjacency lists of different lengths (docs/simulator.md §10).
   // Empty lanes may hold null streams, which memcmp must never see (even
   // at length 0), so a zero length skips the compare.
   bool lockstep = true;
